@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -143,41 +144,41 @@ std::uint64_t run_histogram(Runtime& rt) {
 
 void emit_json(const std::vector<WorkloadReport>& reports,
                const std::vector<int>& threads) {
-  std::FILE* f = std::fopen("BENCH_selfperf.json", "w");
-  if (f == nullptr) {
-    std::perror("BENCH_selfperf.json");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"selfperf_sim_throughput\",\n");
-  std::fprintf(f, "  \"unit\": \"simulated blocks per wall-clock second\",\n");
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(f, "  \"max_threads\": %d,\n  \"workloads\": [\n", threads.back());
-  for (std::size_t w = 0; w < reports.size(); ++w) {
-    const WorkloadReport& r = reports[w];
-    std::fprintf(f, "    {\"name\": \"%s\",\n", r.name);
-    std::fprintf(f,
-                 "     \"fidelity_fast\": {\"exact_ms\": %.3f, \"fast_ms\": %.3f, "
-                 "\"speedup_vs_exact\": %.3f},\n",
-                 r.fast.exact_ms, r.fast.fast_ms, r.fast.speedup);
-    std::fprintf(f, "     \"results\": [\n");
+  grade::JsonWriter w;
+  w.begin_object()
+      .kv("bench", "selfperf_sim_throughput")
+      .kv("unit", "simulated blocks per wall-clock second")
+      .kv("hardware_concurrency",
+          std::uint64_t{std::thread::hardware_concurrency()})
+      .kv("max_threads", threads.back())
+      .key("workloads").begin_array();
+  for (const WorkloadReport& r : reports) {
+    w.begin_object()
+        .kv("name", r.name)
+        .key("fidelity_fast").begin_object()
+        .kv("exact_ms", r.fast.exact_ms)
+        .kv("fast_ms", r.fast.fast_ms)
+        .kv("speedup_vs_exact", r.fast.speedup)
+        .end_object()
+        .key("results").begin_array();
     double base = r.samples.empty() ? 0 : r.samples.front().blocks_per_s;
-    for (std::size_t i = 0; i < r.samples.size(); ++i) {
-      const Sample& s = r.samples[i];
-      std::fprintf(f,
-                   "      {\"threads\": %d, \"blocks\": %llu, \"wall_ms\": %.3f, "
-                   "\"blocks_per_s\": %.1f, \"speedup_vs_1\": %.3f, "
-                   "\"execute_ms\": %.3f, \"merge_ms\": %.3f, "
-                   "\"coalesce_hit_rate\": %.3f}%s\n",
-                   s.threads, static_cast<unsigned long long>(s.blocks), s.wall_ms,
-                   s.blocks_per_s, base > 0 ? s.blocks_per_s / base : 0.0,
-                   s.execute_ms, s.merge_ms, s.co_hit_rate,
-                   i + 1 < r.samples.size() ? "," : "");
+    for (const Sample& s : r.samples) {
+      w.begin_object()
+          .kv("threads", s.threads)
+          .kv("blocks", s.blocks)
+          .kv("wall_ms", s.wall_ms)
+          .kv("blocks_per_s", s.blocks_per_s)
+          .kv("speedup_vs_1", base > 0 ? s.blocks_per_s / base : 0.0)
+          .kv("execute_ms", s.execute_ms)
+          .kv("merge_ms", s.merge_ms)
+          .kv("coalesce_hit_rate", s.co_hit_rate)
+          .end_object();
     }
-    std::fprintf(f, "    ]}%s\n", w + 1 < reports.size() ? "," : "");
+    w.end_array().end_object();
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.end_array().end_object();
+  std::ofstream f("BENCH_selfperf.json");
+  if (!(f << w.str() << "\n")) std::perror("BENCH_selfperf.json");
 }
 
 /// Parse "--threads=1,2,4" into an ascending positive list; empty on error.

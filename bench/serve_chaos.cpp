@@ -77,7 +77,7 @@ struct QueueResult {
 
 QueueResult run_bench_queue(const KernelRegistry& reg, const char* fault,
                             int workers) {
-  JobServer server(reg, {workers, 64, true});
+  JobServer server(reg, {.workers = workers, .cache_capacity = 64});
   for (const char* kernel : kBenchKernels) {
     JobSpec spec{"chaos", kernel, 0, RuntimeOptions::defaults()};
     spec.options.fault_spec = fault;
@@ -133,7 +133,7 @@ void scenario_eviction(const KernelRegistry& reg) {
   for (const char* fault : kMultiFaults) {
     std::string ref_tail;
     for (std::size_t w = 0; w < 3; ++w) {
-      JobServer server(reg, {kWorkerCounts[w], 64, true});
+      JobServer server(reg, {.workers = kWorkerCounts[w], .cache_capacity = 64});
       for (const char* kernel : kMultiKernels) {
         JobSpec spec{"chaos", kernel, 0, RuntimeOptions::defaults()};
         spec.options.devices = 2;
@@ -181,7 +181,7 @@ void submit_persist_queue(JobServer* server) {
 void scenario_crash_replay(const KernelRegistry& reg, const fs::path& dir) {
   fs::remove_all(dir);
   auto config = [&] {
-    JobServer::Config cfg{2, 64, true};
+    JobServer::Config cfg{.workers = 2, .cache_capacity = 64};
     cfg.cache_dir = dir.string();
     return cfg;
   };

@@ -42,18 +42,16 @@ void launch_burners(Runtime& rt, int kernels, bool concurrent) {
 int main() {
   for (bool concurrent : {true, false}) {
     Runtime rt(DeviceProfile::v100());
-    TraceRecorder trace;
-    rt.timeline().set_trace(&trace);
+    rt.set_prof_mode(rt.prof_mode() | ProfMode::kTrace);
     launch_burners(rt, 8, concurrent);
     std::printf("(%c) %s kernel launches:\n", concurrent ? 'a' : 'b',
                 concurrent ? "concurrent (one stream per kernel)" : "serial");
-    std::printf("%s\n", trace.render_gantt(96).c_str());
+    std::printf("%s\n", rt.profiler()->gantt(96).c_str());
   }
 
   // Bonus: the Fig. 14 mechanism — chunked copies overlapping compute.
   Runtime rt(DeviceProfile::v100());
-  TraceRecorder trace;
-  rt.timeline().set_trace(&trace);
+  rt.set_prof_mode(rt.prof_mode() | ProfMode::kTrace);
   const int n = 1 << 20, chunks = 4;
   auto hx = cumb::random_vector(n, 2);
   auto x = rt.malloc<Real>(n);
@@ -73,6 +71,6 @@ int main() {
   }
   rt.synchronize();
   std::printf("pipelined offload (chunked copies overlap compute and the "
-              "return copies):\n%s\n", trace.render_gantt(96).c_str());
+              "return copies):\n%s\n", rt.profiler()->gantt(96).c_str());
   return 0;
 }

@@ -39,8 +39,7 @@ int main() {
 
   vgpu::RuntimeOptions batch = vgpu::RuntimeOptions::defaults();
 
-  JobServer server(registry, {/*workers=*/3, /*cache_capacity=*/64,
-                              /*serialize_default_threads=*/true});
+  JobServer server(registry, {.workers = 3, .cache_capacity = 64});
 
   // Each tenant submits a burst; half of each burst repeats earlier work.
   const char* kernels[] = {"bench:comem", "bench:warpdiv", "bench:bankredux",

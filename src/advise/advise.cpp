@@ -9,6 +9,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "grade/json.hpp"
+
 namespace vgpu {
 
 namespace {
@@ -70,29 +72,6 @@ bool is_copy(const ActivityRecord& r) {
 
 bool spans_overlap(const ActivityRecord& a, const ActivityRecord& b) {
   return a.start_us < b.end_us && b.start_us < a.end_us;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -623,30 +602,22 @@ std::string Advisor::report() const {
 }
 
 std::string Advisor::report_json() const {
-  std::vector<Advice> advice = analyze();
-  std::ostringstream os;
-  os.setf(std::ios::fixed);
-  os.precision(6);
-  os << "{\"tool\":\"vgpu-advise\",\"device\":\"" << json_escape(profile_.name)
-     << "\",\"advice\":[";
-  bool first = true;
-  for (const Advice& a : advice) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n{\"rule\":\"" << json_escape(a.rule) << "\",\"phase\":\""
-       << json_escape(a.phase) << "\",\"target\":\"" << json_escape(a.target)
-       << "\",\"severity\":\"" << severity_name(a.severity)
-       << "\",\"est_speedup\":" << a.est_speedup << ",\"evidence\":{";
-    bool fe = true;
-    for (const Metric& m : a.evidence) {
-      if (!fe) os << ",";
-      fe = false;
-      os << "\"" << json_escape(m.name) << "\":" << m.value;
-    }
-    os << "},\"remediation\":\"" << json_escape(a.remediation) << "\"}";
+  grade::JsonWriter w;
+  w.begin_object()
+      .kv("tool", "vgpu-advise")
+      .kv("device", profile_.name)
+      .key("advice").begin_array();
+  for (const Advice& a : analyze()) {
+    w.begin_object()
+        .kv("rule", a.rule).kv("phase", a.phase).kv("target", a.target)
+        .kv("severity", severity_name(a.severity))
+        .kv("est_speedup", a.est_speedup)
+        .key("evidence").begin_object();
+    for (const Metric& m : a.evidence) w.kv(m.name, m.value);
+    w.end_object().kv("remediation", a.remediation).end_object();
   }
-  os << "\n]}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.str() + "\n";
 }
 
 void Advisor::flush(std::ostream& out) {

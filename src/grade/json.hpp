@@ -1,6 +1,9 @@
 #pragma once
 
-// Deterministic JSON emission for vgpu-grade verdicts.
+// Deterministic JSON emission: the library's one JSON writer. Grade
+// verdicts, serve reports, the vgpu-prof and vgpu-multi chrome traces, the
+// vgpu-advise report and the selfperf bench file are all written with it.
+// It lives in the base vgpu library; the grade/ path is historical.
 //
 // A verdict must be byte-identical across VGPU_THREADS and across releases
 // for the same simulated run, so the writer leaves nothing to locale or

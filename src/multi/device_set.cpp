@@ -1,10 +1,10 @@
 #include "multi/device_set.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "grade/json.hpp"
 
 namespace vgpu {
 
@@ -194,77 +194,46 @@ ErrorCode DeviceSet::synchronize_all() {
 }
 
 std::string DeviceSet::chrome_trace_json() const {
-  // Merge the per-device documents into one: each device becomes its own
-  // process (pid = ordinal), and the interconnect a final process with one
-  // row per topology link.
-  std::ostringstream os;
-  os << "{\"otherData\":{\"tool\":\"vgpu-multi\",\"time_unit\":\"us\"},"
-     << "\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& e) {
-    if (!first) os << ",";
-    os << "\n" << e;
-    first = false;
+  // Each device is its own process (pid = ordinal) holding its profiler's
+  // rows; the interconnect is a final process with one row per topology link.
+  grade::JsonWriter w;
+  w.begin_object()
+      .key("otherData").begin_object()
+      .kv("tool", "vgpu-multi").kv("time_unit", "us")
+      .end_object()
+      .kv("displayTimeUnit", "ms")
+      .key("traceEvents").begin_array();
+  auto metadata = [&w](int pid, int tid, const char* name, const std::string& label) {
+    w.begin_object()
+        .kv("ph", "M").kv("pid", pid).kv("tid", tid).kv("name", name)
+        .key("args").begin_object().kv("name", label).end_object()
+        .end_object();
   };
 
-  char buf[256];
   int n = device_count();
   for (int d = 0; d < n; ++d) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":"
-                  "\"process_name\",\"args\":{\"name\":\"device %d\"}}",
-                  d, d);
-    emit(buf);
-    const Profiler* prof = devices_[static_cast<std::size_t>(d)]->profiler();
-    if (prof == nullptr) continue;
-    // Lift the member's traceEvents, retagging its pid with the ordinal.
-    std::string doc = prof->chrome_trace_json();
-    std::size_t open = doc.find("\"traceEvents\":[");
-    std::size_t close = doc.rfind(']');
-    if (open == std::string::npos || close == std::string::npos) continue;
-    std::string events = doc.substr(open + 15, close - (open + 15));
-    const std::string from = "\"pid\":0";
-    const std::string to = "\"pid\":" + std::to_string(d);
-    for (std::size_t pos = events.find(from); pos != std::string::npos;
-         pos = events.find(from, pos + to.size()))
-      events.replace(pos, from.size(), to);
-    // Re-emit each event line (the member emitter writes one per line).
-    std::istringstream lines(events);
-    std::string line;
-    while (std::getline(lines, line)) {
-      while (!line.empty() && (line.back() == ',' || line.back() == '\n'))
-        line.pop_back();
-      if (!line.empty()) emit(line);
-    }
+    metadata(d, 0, "process_name", "device " + std::to_string(d));
+    if (const Profiler* prof = devices_[static_cast<std::size_t>(d)]->profiler())
+      prof->write_trace_events(w, d);
   }
 
   int link_pid = n;
-  std::snprintf(buf, sizeof buf,
-                "{\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"name\":"
-                "\"process_name\",\"args\":{\"name\":\"interconnect\"}}",
-                link_pid);
-  emit(buf);
+  metadata(link_pid, 0, "process_name", "interconnect");
   const auto& links = topo_.links();
-  for (std::size_t l = 0; l < links.size(); ++l) {
-    std::string label = links[l].display_name(n);
-    std::snprintf(buf, sizeof buf,
-                  "{\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"name\":"
-                  "\"thread_name\",\"args\":{\"name\":\"%s\"}}",
-                  link_pid, static_cast<int>(l), label.c_str());
-    emit(buf);
-  }
+  for (std::size_t l = 0; l < links.size(); ++l)
+    metadata(link_pid, static_cast<int>(l), "thread_name", links[l].display_name(n));
   for (const LinkSpan& ls : link_spans_) {
-    std::snprintf(buf, sizeof buf,
-                  "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"name\":"
-                  "\"d%d-d%d\",\"cat\":\"link\",\"ts\":%.3f,\"dur\":%.3f,"
-                  "\"args\":{\"bytes\":%lld}}",
-                  link_pid, static_cast<int>(ls.link), ls.src, ls.dst,
-                  ls.start_us, ls.end_us - ls.start_us,
-                  static_cast<long long>(ls.bytes));
-    emit(buf);
+    w.begin_object()
+        .kv("ph", "X").kv("pid", link_pid).kv("tid", static_cast<int>(ls.link))
+        .kv("name", 'd' + std::to_string(ls.src) + "-d" + std::to_string(ls.dst))
+        .kv("cat", "link").kv("ts", ls.start_us).kv("dur", ls.end_us - ls.start_us)
+        .key("args").begin_object()
+        .kv("bytes", static_cast<std::int64_t>(ls.bytes))
+        .end_object()
+        .end_object();
   }
-  os << "\n]}\n";
-  return os.str();
+  w.end_array().end_object();
+  return w.str() + "\n";
 }
 
 bool DeviceSet::write_chrome_trace(const std::string& path) const {

@@ -34,7 +34,7 @@ const char* link_kind_name(LinkKind k) {
 
 std::string Link::display_name(int device_count) const {
   auto node = [device_count](int id) {
-    return id == device_count ? std::string("sw") : "d" + std::to_string(id);
+    return id == device_count ? std::string("sw") : 'd' + std::to_string(id);
   };
   return std::string("link ") + link_kind_name(kind) + ' ' + node(a) + '-' +
          node(b);

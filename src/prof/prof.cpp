@@ -10,6 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "grade/json.hpp"
+
 namespace vgpu {
 
 namespace {
@@ -46,29 +48,6 @@ std::string fmt_throughput(double bytes, double us) {
 
 double ratio(std::uint64_t num, std::uint64_t den) {
   return den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 0.0;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Display name of a non-kernel activity in the summary table, matching the
@@ -319,16 +298,19 @@ std::string Profiler::metrics_report() const {
 }
 
 std::string Profiler::chrome_trace_json() const {
-  std::ostringstream os;
-  os << "{\"otherData\":{\"tool\":\"vgpu-prof\",\"time_unit\":\"us\"},"
-     << "\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& e) {
-    if (!first) os << ",";
-    os << "\n" << e;
-    first = false;
-  };
+  grade::JsonWriter w;
+  w.begin_object()
+      .key("otherData").begin_object()
+      .kv("tool", "vgpu-prof").kv("time_unit", "us")
+      .end_object()
+      .kv("displayTimeUnit", "ms")
+      .key("traceEvents").begin_array();
+  write_trace_events(w, 0);
+  w.end_array().end_object();
+  return w.str() + "\n";
+}
 
+void Profiler::write_trace_events(grade::JsonWriter& w, int pid) const {
   // Row labels (thread_name metadata), streams first then the engines.
   std::vector<int> tids;
   for (const ActivityRecord& r : records_) {
@@ -336,7 +318,6 @@ std::string Profiler::chrome_trace_json() const {
     if (std::find(tids.begin(), tids.end(), tid) == tids.end()) tids.push_back(tid);
   }
   std::sort(tids.begin(), tids.end());
-  char buf[256];
   for (std::size_t i = 0; i < tids.size(); ++i) {
     int tid = tids[i];
     std::string label;
@@ -345,52 +326,96 @@ std::string Profiler::chrome_trace_json() const {
     else if (tid == kTidHost) label = "Host / Unified Memory";
     else if (tid == kTidP2P) label = "MemCpy (PtoP)";
     else label = "Stream " + std::to_string(tid);
-    std::snprintf(buf, sizeof buf,
-                  "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"name\":\"thread_name\","
-                  "\"args\":{\"name\":\"%s\"}}", tid, label.c_str());
-    emit(buf);
-    std::snprintf(buf, sizeof buf,
-                  "{\"ph\":\"M\",\"pid\":0,\"tid\":%d,"
-                  "\"name\":\"thread_sort_index\",\"args\":{\"sort_index\":%d}}",
-                  tid, static_cast<int>(i));
-    emit(buf);
+    w.begin_object()
+        .kv("ph", "M").kv("pid", pid).kv("tid", tid).kv("name", "thread_name")
+        .key("args").begin_object().kv("name", label).end_object()
+        .end_object();
+    w.begin_object()
+        .kv("ph", "M").kv("pid", pid).kv("tid", tid)
+        .kv("name", "thread_sort_index")
+        .key("args").begin_object().kv("sort_index", static_cast<int>(i)).end_object()
+        .end_object();
   }
 
   for (const ActivityRecord& r : records_) {
-    std::string name = json_escape(r.name);
-    int tid = chrome_tid(r);
-    if (r.kind == ActivityRecord::Kind::kEventRecord) {
-      std::snprintf(buf, sizeof buf,
-                    "{\"ph\":\"i\",\"pid\":0,\"tid\":%d,\"name\":\"%s\","
-                    "\"cat\":\"event\",\"ts\":%.3f,\"s\":\"t\"}",
-                    tid, name.c_str(), r.start_us);
-      emit(buf);
+    bool instant = r.kind == ActivityRecord::Kind::kEventRecord;
+    w.begin_object()
+        .kv("ph", instant ? "i" : "X").kv("pid", pid).kv("tid", chrome_tid(r))
+        .kv("name", r.name).kv("cat", chrome_category(r.kind))
+        .kv("ts", r.start_us);
+    if (instant) {
+      w.kv("s", "t").end_object();
       continue;
     }
-    std::ostringstream ev;
-    ev.setf(std::ios::fixed);
-    ev.precision(3);
-    ev << "{\"ph\":\"X\",\"pid\":0,\"tid\":" << tid << ",\"name\":\"" << name
-       << "\",\"cat\":\"" << chrome_category(r.kind) << "\",\"ts\":" << r.start_us
-       << ",\"dur\":" << r.duration_us() << ",\"args\":{\"stream\":" << r.stream
-       << ",\"correlation\":" << r.correlation;
-    if (r.bytes > 0) ev << ",\"bytes\":" << static_cast<long long>(r.bytes);
+    w.kv("dur", r.duration_us())
+        .key("args").begin_object()
+        .kv("stream", r.stream)
+        .kv("correlation", std::uint64_t{r.correlation});
+    if (r.bytes > 0) w.kv("bytes", static_cast<std::int64_t>(r.bytes));
     if (r.kind == ActivityRecord::Kind::kMemcpyP2P)
-      ev << ",\"peer_device\":" << r.peer_device
-         << ",\"staged\":" << (r.peer_staged ? "true" : "false");
+      w.kv("peer_device", r.peer_device).kv("staged", r.peer_staged);
     if (r.kind == ActivityRecord::Kind::kKernel) {
-      ev << ",\"grid\":" << r.grid_blocks << ",\"block\":" << r.block_threads
-         << ",\"granted_sms\":" << r.granted_sms
-         << ",\"warp_execution_efficiency\":" << r.stats.warp_execution_efficiency()
-         << ",\"gld_transactions\":" << r.stats.gld_transactions
-         << ",\"gst_transactions\":" << r.stats.gst_transactions
-         << ",\"shared_bank_conflicts\":" << r.stats.bank_conflicts
-         << ",\"achieved_occupancy\":" << r.achieved_occupancy;
+      w.kv("grid", static_cast<std::int64_t>(r.grid_blocks))
+          .kv("block", r.block_threads)
+          .kv("granted_sms", r.granted_sms)
+          .kv("warp_execution_efficiency", r.stats.warp_execution_efficiency())
+          .kv("gld_transactions", r.stats.gld_transactions)
+          .kv("gst_transactions", r.stats.gst_transactions)
+          .kv("shared_bank_conflicts", r.stats.bank_conflicts)
+          .kv("achieved_occupancy", r.achieved_occupancy);
     }
-    ev << "}}";
-    emit(ev.str());
+    w.end_object().end_object();
   }
-  os << "\n]}\n";
+}
+
+std::string Profiler::gantt(int width) const {
+  auto drawn = [](const ActivityRecord& r) {
+    return r.kind != ActivityRecord::Kind::kEventRecord;
+  };
+  bool any = false;
+  double t0 = 0, t1 = 0;
+  for (const ActivityRecord& r : records_) {
+    if (!drawn(r)) continue;
+    t0 = any ? std::min(t0, r.start_us) : r.start_us;
+    t1 = any ? std::max(t1, r.end_us) : r.end_us;
+    any = true;
+  }
+  if (!any) return "(empty trace)\n";
+  if (t1 <= t0) t1 = t0 + 1;
+  double scale = width / (t1 - t0);
+
+  auto glyph = [](ActivityRecord::Kind k) {
+    switch (k) {
+      case ActivityRecord::Kind::kKernel: return '#';
+      case ActivityRecord::Kind::kMemcpyH2D: return '>';
+      case ActivityRecord::Kind::kMemcpyD2H: return '<';
+      case ActivityRecord::Kind::kMemset: return 'm';
+      default: return '@';
+    }
+  };
+
+  // Group by stream id, preserving numeric order.
+  std::map<int, std::string> rows;
+  for (const ActivityRecord& r : records_) {
+    if (!drawn(r)) continue;
+    std::string& row = rows.try_emplace(r.stream, std::string(
+        static_cast<std::size_t>(width), '.')).first->second;
+    int b = static_cast<int>((r.start_us - t0) * scale);
+    int e = std::max(b + 1, static_cast<int>((r.end_us - t0) * scale));
+    for (int i = b; i < e && i < width; ++i) row[static_cast<std::size_t>(i)] = glyph(r.kind);
+  }
+
+  std::ostringstream os;
+  char hdr[128];
+  std::snprintf(hdr, sizeof hdr,
+                "timeline %.1f..%.1f us  (#=kernel >=H2D <=D2H m=memset @=host)\n",
+                t0, t1);
+  os << hdr;
+  for (auto& [stream, row] : rows) {
+    char label[32];
+    std::snprintf(label, sizeof label, "stream %2d |", stream);
+    os << label << row << "|\n";
+  }
   return os.str();
 }
 

@@ -14,7 +14,9 @@
 //             gld_transactions_per_request, achieved_occupancy, ...),
 //   trace   - a chrome://tracing JSON export with one row per stream plus
 //             the copy engines, so concurrent-kernel and overlap benchmarks
-//             can be inspected visually.
+//             can be inspected visually,
+//   gantt   - the same records drawn as the nvvp-style ASCII timeline the
+//             paper screenshots for concurrent kernels (Fig. 6).
 //
 // Profiling is opt-in (Runtime::set_prof_mode or the VGPU_PROF env var) and
 // purely observational: the activity stream is recorded on the submitting
@@ -32,6 +34,10 @@
 #include "sim/stats.hpp"
 
 namespace vgpu {
+
+namespace grade {
+class JsonWriter;
+}
 
 /// Which profiler outputs are produced. Bits compose; kFull is all of them.
 enum class ProfMode : unsigned {
@@ -167,8 +173,18 @@ class Profiler {
   /// chrome://tracing JSON (trace-event format): one row per stream, one
   /// per copy engine, one for host/UM work.
   std::string chrome_trace_json() const;
+  /// The rows of chrome_trace_json() under process `pid`: row-label
+  /// metadata, then one event per record, appended to the trace-event
+  /// array `w` is inside. A DeviceSet calls it once per device ordinal.
+  void write_trace_events(grade::JsonWriter& w, int pid) const;
   /// Write chrome_trace_json() to `path`; returns false on I/O failure.
   bool write_chrome_trace(const std::string& path) const;
+
+  /// nvvp-style ASCII Gantt chart: one row per stream, `width` columns
+  /// spanning [min(start), max(end)]; '#' kernel, '>' H2D, '<' D2H,
+  /// 'm' memset, '@' anything else (host functions, UM migrations, peer
+  /// copies). Instant event records are skipped.
+  std::string gantt(int width = 100) const;
 
   /// End-of-run emission (Runtime destructor / explicit call): prints the
   /// summary and metrics reports to `out` when their modes are on, writes

@@ -157,8 +157,7 @@ int main(int argc, char** argv) {
   if (cli.retry.empty()) cli.retry = env.retry_spec;
   if (cli.cache_dir.empty()) cli.cache_dir = env.serve_cache_dir;
 
-  JobServer::Config cfg{cli.workers, cli.cache,
-                        /*serialize_default_threads=*/true};
+  JobServer::Config cfg{.workers = cli.workers, .cache_capacity = cli.cache};
   try {
     cfg.retry = vgpu::serve::RetryPolicy::parse(cli.retry);
   } catch (const std::exception& e) {

@@ -150,9 +150,11 @@ class JobServer {
     /// default (job-level × block-level thread products explode); set false
     /// to let each job claim full hardware concurrency.
     bool serialize_default_threads = true;
-    RetryPolicy retry;            ///< Default policy for every job.
-    std::map<std::string, TenantQuota> quotas;  ///< Absent tenant = defaults.
-    std::string cache_dir;        ///< Non-empty = persistent result cache.
+    // The {} initialisers let designated initialisers skip these fields
+    // without -Wmissing-field-initializers.
+    RetryPolicy retry{};          ///< Default policy for every job.
+    std::map<std::string, TenantQuota> quotas{};  ///< Absent tenant = defaults.
+    std::string cache_dir{};      ///< Non-empty = persistent result cache.
     /// Simulated cost of waiting one dispatch wave on a tenant quota.
     std::uint64_t quota_wave_us = 100;
   };

@@ -8,9 +8,10 @@
 // (CUDA-runtime-shaped host API), kernel authoring vocabulary (WarpCtx,
 // LaneVec, DevSpan, LaunchConfig, warp-level collectives), streams/events/
 // graphs, the vgpu-san dynamic checker, the vgpu-prof activity tracer, the
-// vgpu-advise performance advisor and the nvvp-style ASCII trace. The deep headers (rt/..., sim/..., xfer/...)
-// stay valid for code that pokes at internals, but new code should include
-// this one.
+// vgpu-advise performance advisor (the profiler also draws the nvvp-style
+// ASCII Gantt) and the library's JSON writer. The deep headers (rt/...,
+// sim/..., xfer/...) stay valid for code that pokes at internals, but new
+// code should include this one.
 //
 // For host code ported verbatim from CUDA, see <vgpu/cuda_names.hpp>.
 // To grade an externally-authored kernel against a task spec (functional +
@@ -21,6 +22,7 @@
 #include "advise/advise.hpp" // vgpu-advise: AdviseMode, Advisor, Advice.
 #include "fault/error.hpp"   // vgpu-fault: ErrorCode, ErrorState.
 #include "fault/inject.hpp"  // vgpu-fault: FaultInjector, FaultSite.
+#include "grade/json.hpp"    // JsonWriter, json_escape, json_number.
 #include "multi/device_set.hpp" // vgpu-multi: DeviceSet, peer transfers.
 #include "multi/topology.hpp"   // vgpu-multi: Topology, Link.
 #include "prof/prof.hpp"     // vgpu-prof: ProfMode, Profiler, ActivityRecord.
@@ -28,4 +30,3 @@
 #include "san/check.hpp"     // vgpu-san: CheckMode, CheckReport.
 #include "sim/lanevec.hpp"   // LaneVec/LaneF/LaneI/Mask lane arithmetic.
 #include "sim/warp_ops.hpp"  // Warp/block collectives (reduce, scan, ...).
-#include "xfer/trace.hpp"    // TraceRecorder ASCII Gantt rendering.

@@ -24,7 +24,6 @@ Timeline::Span Timeline::copy(Stream& s, double bytes, bool sync, bool charge_su
 Timeline::Span Timeline::copy_h2d(Stream& s, double bytes, bool sync,
                                   bool charge_submit, double bw_scale) {
   Span span = copy(s, bytes, sync, charge_submit, bw_scale, h2d_free_);
-  trace("h2d", s, span, TraceOp::Kind::kH2D);
   prof_activity(ActivityRecord::Kind::kMemcpyH2D, "h2d", s, span, bytes);
   return span;
 }
@@ -32,7 +31,6 @@ Timeline::Span Timeline::copy_h2d(Stream& s, double bytes, bool sync,
 Timeline::Span Timeline::copy_d2h(Stream& s, double bytes, bool sync,
                                   bool charge_submit, double bw_scale) {
   Span span = copy(s, bytes, sync, charge_submit, bw_scale, d2h_free_);
-  trace("d2h", s, span, TraceOp::Kind::kD2H);
   prof_activity(ActivityRecord::Kind::kMemcpyD2H, "d2h", s, span, bytes);
   return span;
 }
@@ -56,7 +54,6 @@ Timeline::Span Timeline::kernel(Stream& s, const KernelRun& run,
   s.set_last_end(end);
   note(end);
   Span span{start, end};
-  trace(run.name.c_str(), s, span, TraceOp::Kind::kKernel);
   if (prof_ != nullptr || advisor_ != nullptr) {
     ActivityRecord r;
     r.kind = ActivityRecord::Kind::kKernel;
@@ -97,7 +94,6 @@ Timeline::Span Timeline::memset(Stream& s, double bytes, double duration_us) {
   s.set_last_end(end);
   note(end);
   Span span{start, end};
-  trace("memset", s, span, TraceOp::Kind::kMemset);
   prof_activity(ActivityRecord::Kind::kMemset, "memset", s, span, bytes);
   return span;
 }
@@ -109,7 +105,6 @@ Timeline::Span Timeline::host_op(Stream& s, double duration_us, bool charge_subm
   s.set_last_end(end);
   note(end);
   Span span{start, end};
-  trace("host", s, span, TraceOp::Kind::kHost);
   prof_activity(ActivityRecord::Kind::kHostFunc, "host", s, span, 0);
   return span;
 }

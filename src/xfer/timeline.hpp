@@ -18,7 +18,6 @@
 #include "sim/device.hpp"
 #include "sim/gpu.hpp"
 #include "xfer/stream.hpp"
-#include "xfer/trace.hpp"
 
 namespace vgpu {
 
@@ -109,9 +108,6 @@ class Timeline {
   /// Latest completion time seen anywhere (device frontier).
   double device_frontier() const { return frontier_; }
 
-  /// Attach an nvvp-style trace recorder (nullptr to detach).
-  void set_trace(TraceRecorder* trace) { trace_ = trace; }
-
   /// Attach the vgpu-prof activity sink (nullptr to detach). Every device
   /// op the timeline schedules is recorded there in submission order.
   void set_profiler(Profiler* prof) { prof_ = prof; }
@@ -123,10 +119,6 @@ class Timeline {
  private:
   void note(double t) {
     if (t > frontier_) frontier_ = t;
-  }
-  void trace(const char* name, const Stream& s, Span span, TraceOp::Kind kind) {
-    if (trace_ != nullptr)
-      trace_->record(TraceOp{name, s.id(), span.start, span.end, kind});
   }
   /// Record a non-kernel activity on the profiler (no-op when detached).
   void prof_activity(ActivityRecord::Kind kind, const char* name,
@@ -141,7 +133,6 @@ class Timeline {
   double d2h_free_ = 0;
   double frontier_ = 0;
   std::vector<double> sm_free_;
-  TraceRecorder* trace_ = nullptr;
   Profiler* prof_ = nullptr;
   Advisor* advisor_ = nullptr;
 };

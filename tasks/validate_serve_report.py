@@ -1,25 +1,21 @@
 #!/usr/bin/env python3
 """Validate a vgpu-serve report against tasks/serve_report.schema.json.
 
-The shipped schema describes the current report version (2, the
-fault-tolerance surface). Version-1 reports — emitted before the retry
-engine, quotas, device health and the persistent cache existed — are still
-accepted: the validator derives the v1 schema from the v2 one by shrinking
-the required field sets and version constants back to the v1 shape, so old
-archived reports keep validating without shipping two schema files.
+The shipped schema describes the report version vgpu-serve writes (2, the
+fault-tolerance surface); any other version, 1 included, is rejected.
 
 Reuses the stdlib-only schema walker from validate_verdicts.py and layers
 the cross-field invariants a schema can't express:
 
 - per-tenant counters reconcile with the job records (submitted = records,
-  completed = ok records, cached/failed likewise; v2 adds retried =
-  records with attempts > 1 and the quota_wait_us sum);
+  completed = ok records, cached/failed likewise, retried = records with
+  attempts > 1, and the quota_wait_us sum);
 - cache hits equal the number of cached job records, and misses are at
   least the number of distinct executed keys;
 - every cached record has an uncached sibling with the same key and a
   byte-identical result (the whole point of deterministic caching);
 - with any repeats in the queue the hit rate must be positive;
-- v2: every record claims at least one attempt, every failed record's
+- every record claims at least one attempt, every failed record's
   attempt log ends in "give_up", the top-level degraded flag reconciles
   with per-job degraded flags and device_health rows, simulated_wait_us
   equals the sum of all backoff and quota waits, and the persistent-cache
@@ -27,14 +23,12 @@ the cross-field invariants a schema can't express:
   hits when it is enabled).
 
 Exit codes: 0 all valid, 1 schema/invariant violations, 2 usage error or a
-report whose schema_version this validator does not understand (checked
-before anything else — a future-versioned report is neither valid nor
-invalid, it is unreadable here).
+report whose schema_version is not 2 (checked before anything else — such
+a report is neither valid nor invalid, it is unreadable here).
 
 Usage: validate_serve_report.py SCHEMA REPORT.json [REPORT.json ...]
 """
 
-import copy
 import json
 import sys
 from pathlib import Path
@@ -42,39 +36,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from validate_verdicts import validate  # noqa: E402
 
-KNOWN_SCHEMA_VERSIONS = {1, 2}
-
-V1_TOP_REQUIRED = ["schema", "schema_version", "config", "jobs", "tenants",
-                   "cache"]
-V1_CONFIG_REQUIRED = ["workers", "cache_capacity"]
-V1_JOB_REQUIRED = ["id", "tenant", "kernel", "n", "key", "ok", "cached"]
-V1_TENANT_REQUIRED = ["tenant", "submitted", "completed", "cached", "failed"]
-V1_CACHE_REQUIRED = ["hits", "misses", "evictions", "entries", "capacity"]
-
-
-def schema_for_version(schema, version):
-    """The shipped (v2) schema, or its v1 relaxation: v1 constants, v1
-    required sets, and v1's error contract (a failed job carries only the
-    message string). Properties stay — a v1 report simply never has them."""
-    if version == 2:
-        return schema
-    v1 = copy.deepcopy(schema)
-    v1["required"] = V1_TOP_REQUIRED
-    v1["properties"]["schema"] = {"const": "vgpu-serve-report-v1"}
-    v1["properties"]["schema_version"] = {"const": 1}
-    v1["properties"]["config"]["required"] = V1_CONFIG_REQUIRED
-    v1["properties"]["cache"]["required"] = V1_CACHE_REQUIRED
-    job = v1["definitions"]["job"]
-    job["required"] = V1_JOB_REQUIRED
-    job["properties"]["kernel"] = {"type": "string",
-                                   "pattern": "^(bench|grade):"}
-    job["allOf"][0]["else"]["required"] = ["error"]
-    v1["definitions"]["tenant"]["required"] = V1_TENANT_REQUIRED
-    return v1
+KNOWN_SCHEMA_VERSIONS = {2}
 
 
 def cross_checks(doc, errors):
-    version = doc["schema_version"]
     jobs = doc.get("jobs", [])
     by_tenant = {}
     for j in jobs:
@@ -85,8 +50,8 @@ def cross_checks(doc, errors):
         s["completed"] += 1 if j["ok"] else 0
         s["cached"] += 1 if j["cached"] else 0
         s["failed"] += 0 if j["ok"] else 1
-        s["retried"] += 1 if j.get("attempts", 1) > 1 else 0
-        s["quota_wait_us"] += j.get("quota_wait_us", 0)
+        s["retried"] += 1 if j["attempts"] > 1 else 0
+        s["quota_wait_us"] += j["quota_wait_us"]
 
     reported = {t["tenant"]: t for t in doc.get("tenants", [])}
     if set(reported) != set(by_tenant):
@@ -97,8 +62,6 @@ def cross_checks(doc, errors):
         if got is None:
             continue
         for k, v in want.items():
-            if k in ("retried", "quota_wait_us") and version < 2:
-                continue
             if got[k] != v:
                 errors.append(f"tenant {name!r}: {k} is {got[k]}, "
                               f"job records say {v}")
@@ -141,11 +104,6 @@ def cross_checks(doc, errors):
         errors.append(f"{repeats} repeated keys in the queue but cache.hits "
                       f"is 0")
 
-    if version >= 2:
-        cross_checks_v2(doc, jobs, cache, errors)
-
-
-def cross_checks_v2(doc, jobs, cache, errors):
     for j in jobs:
         if not j["ok"]:
             log = j["attempt_log"]
@@ -207,8 +165,7 @@ def main(argv):
                   f"{sorted(KNOWN_SCHEMA_VERSIONS)}")
             return 2
         errors = []
-        versioned = schema_for_version(schema, version)
-        validate(doc, versioned, versioned, "$", errors)
+        validate(doc, schema, schema, "$", errors)
         if not errors:
             cross_checks(doc, errors)
         if errors:

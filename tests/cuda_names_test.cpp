@@ -159,7 +159,9 @@ TEST(CudaNames, OccupancyMaxPotentialBlockSizeMatchesCalculator) {
       EXPECT_EQ(min_grid, sug.min_grid) << "smem=" << smem << " limit=" << limit;
       EXPECT_GT(block, 0);
       EXPECT_EQ(block % kWarpSize, 0);
-      if (limit > 0) EXPECT_LE(block, limit);
+      if (limit > 0) {
+        EXPECT_LE(block, limit);
+      }
     }
   }
 }

@@ -14,8 +14,7 @@ using namespace vgpu;
 
 TEST(Trace, RecordsKernelAndCopyOps) {
   Runtime rt(DeviceProfile::test_tiny());
-  TraceRecorder trace;
-  rt.timeline().set_trace(&trace);
+  rt.set_prof_mode(ProfMode::kTrace);
   std::vector<float> h(1024);
   auto d = rt.malloc<float>(1024);
   rt.memcpy_h2d(d, std::span<const float>(h));
@@ -23,38 +22,37 @@ TEST(Trace, RecordsKernelAndCopyOps) {
   rt.memcpy_d2h(std::span<float>(h), d);
   rt.synchronize();
 
-  ASSERT_EQ(trace.ops().size(), 3u);
-  EXPECT_EQ(trace.ops()[0].kind, TraceOp::Kind::kH2D);
-  EXPECT_EQ(trace.ops()[1].kind, TraceOp::Kind::kKernel);
-  EXPECT_EQ(trace.ops()[1].name, "mykernel");
-  EXPECT_EQ(trace.ops()[2].kind, TraceOp::Kind::kD2H);
-  for (const TraceOp& op : trace.ops()) EXPECT_LE(op.start_us, op.end_us);
+  const auto& ops = rt.profiler()->records();
+  ASSERT_EQ(ops.size(), 3u);
+  EXPECT_EQ(ops[0].kind, ActivityRecord::Kind::kMemcpyH2D);
+  EXPECT_EQ(ops[1].kind, ActivityRecord::Kind::kKernel);
+  EXPECT_EQ(ops[1].name, "mykernel");
+  EXPECT_EQ(ops[2].kind, ActivityRecord::Kind::kMemcpyD2H);
+  for (const ActivityRecord& op : ops) EXPECT_LE(op.start_us, op.end_us);
 }
 
 TEST(Trace, GanttRendersOneRowPerStream) {
   Runtime rt(DeviceProfile::test_tiny());
-  TraceRecorder trace;
-  rt.timeline().set_trace(&trace);
+  rt.set_prof_mode(ProfMode::kTrace);
   Stream& s1 = rt.create_stream();
   Stream& s2 = rt.create_stream();
   auto noop = [](WarpCtx&) -> WarpTask { co_return; };
   rt.launch(s1, {Dim3{1}, Dim3{32}, "a"}, noop);
   rt.launch(s2, {Dim3{1}, Dim3{32}, "b"}, noop);
-  std::string g = trace.render_gantt(40);
+  std::string g = rt.profiler()->gantt(40);
   EXPECT_NE(g.find("stream  1"), std::string::npos);
   EXPECT_NE(g.find("stream  2"), std::string::npos);
   EXPECT_NE(g.find('#'), std::string::npos);
 }
 
 TEST(Trace, EmptyTraceRenders) {
-  TraceRecorder trace;
-  EXPECT_EQ(trace.render_gantt(), "(empty trace)\n");
+  Profiler prof;
+  EXPECT_EQ(prof.gantt(), "(empty trace)\n");
 }
 
 TEST(Trace, ConcurrentKernelsOverlapInTrace) {
   Runtime rt(DeviceProfile::test_tiny());
-  TraceRecorder trace;
-  rt.timeline().set_trace(&trace);
+  rt.set_prof_mode(ProfMode::kTrace);
   Stream& s1 = rt.create_stream();
   Stream& s2 = rt.create_stream();
   auto burn = [](WarpCtx& w) -> WarpTask {
@@ -64,7 +62,7 @@ TEST(Trace, ConcurrentKernelsOverlapInTrace) {
   rt.launch(s1, {Dim3{1}, Dim3{256}, "k1"}, burn);
   rt.launch(s2, {Dim3{1}, Dim3{256}, "k2"}, burn);
   rt.synchronize();
-  const auto& ops = trace.ops();
+  const auto& ops = rt.profiler()->records();
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_LT(ops[1].start_us, ops[0].end_us);  // Overlap on disjoint SMs.
 }

@@ -147,8 +147,9 @@ void expect_issue_side_equal(const KernelStats& exact, const KernelStats& fast) 
   }
   KernelStats::for_each_field(a, [&](const char* name, std::uint64_t va) {
     KernelStats::for_each_field(b, [&](const char* name2, std::uint64_t vb) {
-      if (std::string_view(name) == std::string_view(name2))
+      if (std::string_view(name) == std::string_view(name2)) {
         EXPECT_EQ(va, vb) << "issue-side counter " << name << " diverged";
+      }
     });
   });
 }

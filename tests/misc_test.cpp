@@ -69,8 +69,7 @@ TEST(Profiles, A100OutrunsV100OnBandwidth) {
 
 TEST(Trace, GraphOpsAreRecorded) {
   Runtime rt(DeviceProfile::test_tiny());
-  TraceRecorder trace;
-  rt.timeline().set_trace(&trace);
+  rt.set_prof_mode(ProfMode::kTrace);
   GraphBuilder b;
   auto k1 = b.add_kernel({Dim3{1}, Dim3{32}, "gk1"},
                          [](WarpCtx&) -> WarpTask { co_return; });
@@ -79,12 +78,13 @@ TEST(Trace, GraphOpsAreRecorded) {
   b.add_dependency(k2, k1);
   ExecGraph g = b.instantiate();
   rt.launch_graph(g, rt.default_stream());
-  ASSERT_EQ(trace.ops().size(), 2u);
-  EXPECT_EQ(trace.ops()[0].name, "gk1");
-  EXPECT_EQ(trace.ops()[1].name, "gk2");
-  EXPECT_GE(trace.ops()[1].start_us, trace.ops()[0].end_us);
+  const auto& ops = rt.profiler()->records();
+  ASSERT_EQ(ops.size(), 2u);
+  EXPECT_EQ(ops[0].name, "gk1");
+  EXPECT_EQ(ops[1].name, "gk2");
+  EXPECT_GE(ops[1].start_us, ops[0].end_us);
   // Rendering a trace with graph scratch streams must not crash.
-  EXPECT_FALSE(trace.render_gantt(50).empty());
+  EXPECT_FALSE(rt.profiler()->gantt(50).empty());
 }
 
 TEST(FailureInjection, GraphKernelExceptionPropagates) {

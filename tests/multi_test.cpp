@@ -1,6 +1,7 @@
 // vgpu-multi contracts: topology parsing/routing, the DeviceSet peer API,
 // cross-device determinism of the scale-out ports, device-scoped fault
-// injection, and the host-staged-peer-transfer advisor rule.
+// injection, the host-staged-peer-transfer advisor rule, and the merged
+// per-device chrome trace.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vgpu.hpp>
 #include <vgpu/cuda_names.hpp>
 
+#include "json_check.hpp"
 #include "multi/ports.hpp"
 
 namespace {
@@ -77,8 +79,11 @@ TEST(Topology, RingRoutesTakeTheShorterDirection) {
 TEST(Topology, MeshRoutesAreOneHop) {
   Topology t = Topology::mesh(6);
   for (int a = 0; a < 6; ++a)
-    for (int b = 0; b < 6; ++b)
-      if (a != b) EXPECT_EQ(t.route(a, b).size(), 1u);
+    for (int b = 0; b < 6; ++b) {
+      if (a != b) {
+        EXPECT_EQ(t.route(a, b).size(), 1u);
+      }
+    }
 }
 
 TEST(Topology, RouteValidatesOrdinals) {
@@ -212,6 +217,58 @@ TEST(DeviceSetPeer, PeerAtomicAddRequiresPeerAccessAndReturnsOld) {
   std::vector<int> out(1);
   set.device(1).memcpy_d2h(std::span<int>(out), counter);
   EXPECT_EQ(out[0], 19);
+}
+
+// --- Merged chrome trace ----------------------------------------------------
+
+TEST(DeviceSetTrace, OneProcessPerDevicePlusInterconnect) {
+  for (int n : {2, 4}) {
+    RuntimeOptions o;
+    o.devices = n;
+    o.prof = vgpu::ProfMode::kTrace;
+    DeviceSet set(o);
+    for (int d = 0; d < n; ++d) {
+      auto x = set.device(d).malloc<float>(32);
+      set.device(d).launch({vgpu::Dim3{1}, vgpu::Dim3{32}, "dev" + std::to_string(d)},
+                           [=](vgpu::WarpCtx& w) -> vgpu::WarpTask {
+                             w.store(x, w.global_tid_x(), vgpu::LaneVec<float>(1.0f));
+                             co_return;
+                           });
+    }
+    set.enable_peer_access(0, n - 1);
+    auto a = set.device(0).malloc<int>(64);
+    auto b = set.device(n - 1).malloc<int>(64);
+    set.memcpy_peer(n - 1, b, 0, a, 64);
+    set.synchronize_all();
+
+    std::string json = set.chrome_trace_json();
+    EXPECT_TRUE(cumb_tests::json_well_formed(json)) << json.substr(0, 400);
+    auto count = [&json](const std::string& needle) {
+      int c = 0;
+      for (std::size_t p = json.find(needle); p != std::string::npos;
+           p = json.find(needle, p + 1))
+        ++c;
+      return c;
+    };
+    EXPECT_EQ(count("\"process_name\""), n + 1) << n;
+    EXPECT_EQ(count("\"interconnect\""), 1) << n;
+    // One link span per hop of the PCIe route: d0 -> switch -> d(n-1).
+    EXPECT_EQ(count("\"d0-d" + std::to_string(n - 1) + "\""), 2) << n;
+    for (int d = 0; d < n; ++d) {
+      EXPECT_EQ(count("\"device " + std::to_string(d) + "\""), 1) << n;
+      // The device's kernel event sits in process `d`: its pid precedes the
+      // name within the same event object.
+      std::string kernel = "\"name\": \"dev" + std::to_string(d) + "\"";
+      std::size_t at = json.find(kernel);
+      ASSERT_NE(at, std::string::npos) << kernel;
+      EXPECT_EQ(json.find(kernel, at + 1), std::string::npos) << kernel;
+      std::size_t ph = json.rfind("\"ph\"", at);
+      ASSERT_NE(ph, std::string::npos);
+      EXPECT_NE(json.substr(ph, at - ph).find("\"pid\": " + std::to_string(d) + ","),
+                std::string::npos)
+          << json.substr(ph, at - ph);
+    }
+  }
 }
 
 // --- Fault injection: device scoping ----------------------------------------

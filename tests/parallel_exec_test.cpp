@@ -284,8 +284,8 @@ TEST(ParallelExec, ThreadCountKnobClampsAndSticks) {
   Runtime rt;
   rt.set_sim_threads(7);
   EXPECT_EQ(rt.sim_threads(), 7);
-  rt.set_sim_threads(0);  // Clamped to the serial floor, never rejected.
-  EXPECT_EQ(rt.sim_threads(), 1);
+  rt.set_sim_threads(0);  // 0 means hardware concurrency, never rejected.
+  EXPECT_EQ(rt.sim_threads(), WorkerPool::default_thread_count());
   rt.set_sim_threads(100000);
   EXPECT_EQ(rt.sim_threads(), 256);
 }

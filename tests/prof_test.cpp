@@ -1,11 +1,11 @@
 // vgpu-prof tests: activity-stream determinism across VGPU_THREADS, summary
 // reconciliation with LaunchInfo spans, hand-computed derived metrics on two
-// golden kernels, chrome://tracing JSON well-formedness, and the memset /
-// overlap honesty the profiler timeline is meant to expose.
+// golden kernels, chrome://tracing JSON well-formedness (also of the advise
+// report for hostile kernel names), and the memset / overlap honesty the
+// profiler timeline is meant to expose.
 
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -15,92 +15,13 @@
 #include <vgpu.hpp>
 
 #include "core/conkernels.hpp"
+#include "json_check.hpp"
 #include "suite_runners.hpp"
 
 namespace {
 
 using namespace vgpu;
-
-// --- A tiny self-contained JSON well-formedness checker ---------------------
-// Validates the grammar (objects, arrays, strings, numbers, literals) so the
-// exported trace is guaranteed loadable by chrome://tracing. Returns the
-// position after the parsed value, or npos on error.
-std::size_t skip_ws(const std::string& s, std::size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  return i;
-}
-
-std::size_t parse_value(const std::string& s, std::size_t i);
-
-std::size_t parse_string(const std::string& s, std::size_t i) {
-  if (i >= s.size() || s[i] != '"') return std::string::npos;
-  for (++i; i < s.size(); ++i) {
-    if (s[i] == '\\') {
-      ++i;
-      continue;
-    }
-    if (s[i] == '"') return i + 1;
-  }
-  return std::string::npos;
-}
-
-std::size_t parse_object(const std::string& s, std::size_t i) {
-  ++i;  // '{'
-  i = skip_ws(s, i);
-  if (i < s.size() && s[i] == '}') return i + 1;
-  while (i < s.size()) {
-    i = parse_string(s, skip_ws(s, i));
-    if (i == std::string::npos) return i;
-    i = skip_ws(s, i);
-    if (i >= s.size() || s[i] != ':') return std::string::npos;
-    i = parse_value(s, i + 1);
-    if (i == std::string::npos) return i;
-    i = skip_ws(s, i);
-    if (i < s.size() && s[i] == ',') { ++i; continue; }
-    if (i < s.size() && s[i] == '}') return i + 1;
-    return std::string::npos;
-  }
-  return std::string::npos;
-}
-
-std::size_t parse_array(const std::string& s, std::size_t i) {
-  ++i;  // '['
-  i = skip_ws(s, i);
-  if (i < s.size() && s[i] == ']') return i + 1;
-  while (i < s.size()) {
-    i = parse_value(s, i);
-    if (i == std::string::npos) return i;
-    i = skip_ws(s, i);
-    if (i < s.size() && s[i] == ',') { ++i; continue; }
-    if (i < s.size() && s[i] == ']') return i + 1;
-    return std::string::npos;
-  }
-  return std::string::npos;
-}
-
-std::size_t parse_value(const std::string& s, std::size_t i) {
-  i = skip_ws(s, i);
-  if (i >= s.size()) return std::string::npos;
-  if (s[i] == '{') return parse_object(s, i);
-  if (s[i] == '[') return parse_array(s, i);
-  if (s[i] == '"') return parse_string(s, i);
-  if (s.compare(i, 4, "true") == 0) return i + 4;
-  if (s.compare(i, 5, "false") == 0) return i + 5;
-  if (s.compare(i, 4, "null") == 0) return i + 4;
-  std::size_t j = i;
-  if (j < s.size() && (s[j] == '-' || s[j] == '+')) ++j;
-  std::size_t digits = j;
-  while (j < s.size() && (std::isdigit(static_cast<unsigned char>(s[j])) ||
-                          s[j] == '.' || s[j] == 'e' || s[j] == 'E' ||
-                          s[j] == '-' || s[j] == '+'))
-    ++j;
-  return j > digits ? j : std::string::npos;
-}
-
-bool json_well_formed(const std::string& s) {
-  std::size_t end = parse_value(s, 0);
-  return end != std::string::npos && skip_ws(s, end) == s.size();
-}
+using cumb_tests::json_well_formed;
 
 // --- Workload kernels -------------------------------------------------------
 
@@ -304,6 +225,36 @@ TEST(Prof, ChromeTraceJsonIsWellFormed) {
   EXPECT_NE(json.find("\"Stream 2\""), std::string::npos);
   EXPECT_NE(json.find("MemCpy (HtoD)"), std::string::npos);
   EXPECT_NE(json.find("MemCpy (DtoH)"), std::string::npos);
+}
+
+TEST(Prof, TraceAndAdviceJsonEscapeHostileKernelNames) {
+  // A kernel name with a quote, a backslash and control characters must come
+  // out escaped in both JSON documents that carry it.
+  Runtime rt(DeviceProfile::test_tiny());
+  rt.set_prof_mode(ProfMode::kTrace);
+  rt.set_advise_mode(AdviseMode::kFull);
+  const std::string name = "say \"hi\" C:\\tmp\x01\tk";
+  const std::string escaped = "say \\\"hi\\\" C:\\\\tmp\\u0001\\tk";
+  auto x = rt.malloc<float>(32 * 256);
+  auto y = rt.malloc<float>(256);
+  // Stride-32 loads: every lane its own line, so uncoalesced-global fires
+  // and the advise report names the kernel.
+  rt.launch({Dim3{2}, Dim3{128}, name}, [=](WarpCtx& w) -> WarpTask {
+    LaneI i = w.global_tid_x();
+    w.store(y, i, w.load(x, i * 32));
+    co_return;
+  });
+  rt.synchronize();
+
+  std::string trace = rt.profiler()->chrome_trace_json();
+  EXPECT_TRUE(json_well_formed(trace)) << trace;
+  EXPECT_NE(trace.find(escaped), std::string::npos) << trace;
+
+  std::string report = rt.advisor()->report_json();
+  EXPECT_TRUE(json_well_formed(report)) << report;
+  EXPECT_NE(report.find("uncoalesced-global"), std::string::npos) << report;
+  EXPECT_NE(report.find(escaped), std::string::npos) << report;
+  rt.set_advise_mode(AdviseMode::kOff);
 }
 
 TEST(Prof, ConcurrentKernelsOverlapOnDistinctStreamRows) {

@@ -145,7 +145,7 @@ const char* kFaultMatrix[] = {
 
 std::string run_fault_matrix(int workers, std::vector<std::string>* blobs) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {workers, 32, true});
+  JobServer server(reg, {.workers = workers, .cache_capacity = 32});
   for (const char* fault : kFaultMatrix) {
     JobSpec spec{"t", "bench:warpdiv", 0, RuntimeOptions::defaults()};
     spec.options.fault_spec = fault;
@@ -184,7 +184,7 @@ TEST(ServeFault, ReportIsByteIdenticalAtAnyWorkerCountUnderFaults) {
 
 TEST(ServeFault, TransientFaultsBackOffAndStickyFaultsResetReplay) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {1, 16, true});
+  JobServer server(reg, {.workers = 1, .cache_capacity = 16});
   JobSpec transient{"t", "bench:warpdiv", 0, RuntimeOptions::defaults()};
   transient.options.fault_spec = "h2d:nth=1";  // Upload dropped: kUnknown.
   JobSpec sticky = transient;
@@ -223,7 +223,7 @@ TEST(ServeFault, TransientFaultsBackOffAndStickyFaultsResetReplay) {
 
 TEST(ServeFault, PerJobRetrySpecAndTenantCapLimitAttempts) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer::Config cfg{1, 16, true};
+  JobServer::Config cfg{.workers = 1, .cache_capacity = 16};
   cfg.quotas["capped"] = JobServer::TenantQuota{1, 1};
   JobServer server(reg, cfg);
 
@@ -257,7 +257,7 @@ TEST(ServeFault, PerJobRetrySpecAndTenantCapLimitAttempts) {
 
 TEST(ServeFault, RejectionsCarryStructuredErrorCode) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {1, 16, true});
+  JobServer server(reg, {.workers = 1, .cache_capacity = 16});
   std::uint64_t id = server.submit(
       {"t", "bench:imaginary", 0, RuntimeOptions::defaults()});
   server.run();
@@ -274,7 +274,7 @@ TEST(ServeFault, RejectionsCarryStructuredErrorCode) {
 
 TEST(ServeFault, TrippingDeviceIsEvictedAndJobReplaysDegraded) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {1, 16, true});
+  JobServer server(reg, {.workers = 1, .cache_capacity = 16});
   JobSpec spec{"m", "multi:halo", 0, RuntimeOptions::defaults()};
   spec.options.devices = 2;
   spec.options.fault_spec = "launch@dev1:fail";
@@ -304,7 +304,7 @@ TEST(ServeFault, TrippingDeviceIsEvictedAndJobReplaysDegraded) {
 
 TEST(ServeFault, PeerTransferFaultsEvictTheSourceDevice) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {1, 16, true});
+  JobServer server(reg, {.workers = 1, .cache_capacity = 16});
   JobSpec spec{"m", "multi:halo", 0, RuntimeOptions::defaults()};
   spec.options.devices = 2;
   spec.options.fault_spec = "p2p@dev1:fail";
@@ -324,7 +324,7 @@ TEST(ServeFault, PersistentCacheSurvivesRestartAndQuarantinesCorruption) {
   KernelRegistry reg = KernelRegistry::builtin();
   JobSpec job{"t", "bench:warpdiv", 0, RuntimeOptions::defaults()};
   auto config = [&] {
-    JobServer::Config cfg{1, 16, true};
+    JobServer::Config cfg{.workers = 1, .cache_capacity = 16};
     cfg.cache_dir = dir.string();
     return cfg;
   };
@@ -384,7 +384,7 @@ TEST(ServeFault, DegradedResultsAreNeverPersisted) {
   spec.options.devices = 2;
   spec.options.fault_spec = "launch@dev1:fail";
   auto config = [&] {
-    JobServer::Config cfg{1, 16, true};
+    JobServer::Config cfg{.workers = 1, .cache_capacity = 16};
     cfg.cache_dir = dir.string();
     return cfg;
   };
@@ -415,7 +415,7 @@ TEST(ServeFault, DegradedResultsAreNeverPersisted) {
 
 TEST(ServeQuota, InFlightQuotaShapesWavesAndRecordsWait) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer::Config cfg{1, 16, true};
+  JobServer::Config cfg{.workers = 1, .cache_capacity = 16};
   cfg.quotas["alice"] = JobServer::TenantQuota{2, 0};  // 2 slots per wave.
   JobServer server(reg, cfg);
   std::uint64_t a0 = server.submit({"alice", "bench:warpdiv", 0, RuntimeOptions::defaults()});

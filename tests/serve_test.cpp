@@ -111,7 +111,7 @@ TEST(ServeCache, MetricsUseProfShape) {
 
 TEST(ServeServer, CacheKeyExcludesSimThreadsAndObservability) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {1, 16, true});
+  JobServer server(reg, {.workers = 1, .cache_capacity = 16});
   JobSpec a{"t", "bench:warpdiv", 0, tiny_defaults()};
   JobSpec b = a;
   b.options.sim_threads = 8;
@@ -129,7 +129,7 @@ TEST(ServeServer, CacheKeyExcludesSimThreadsAndObservability) {
 
 TEST(ServeServer, RepeatJobsServeByteIdenticalBlobsAtAnyThreadCount) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {2, 16, true});
+  JobServer server(reg, {.workers = 2, .cache_capacity = 16});
   JobSpec first{"t", "bench:bankredux", 0, tiny_defaults()};
   JobSpec again = first;
   again.options.sim_threads = 4;  // Different host parallelism, same content.
@@ -152,7 +152,7 @@ TEST(ServeServer, RepeatJobsServeByteIdenticalBlobsAtAnyThreadCount) {
 
 TEST(ServeServer, UnknownKernelIsAFailedRecordNotACrash) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {2, 16, true});
+  JobServer server(reg, {.workers = 2, .cache_capacity = 16});
   server.submit({"t", "bench:imaginary", 0, tiny_defaults()});
   server.submit({"t", "bench:warpdiv", 0, tiny_defaults()});
   server.run();
@@ -164,7 +164,7 @@ TEST(ServeServer, UnknownKernelIsAFailedRecordNotACrash) {
 
 TEST(ServeServer, MalformedFaultSpecFailsTheJobOnly) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {1, 16, true});
+  JobServer server(reg, {.workers = 1, .cache_capacity = 16});
   JobSpec bad{"t", "bench:warpdiv", 0, tiny_defaults()};
   bad.options.fault_spec = "not-a-site:fail";
   server.submit(bad);
@@ -176,7 +176,7 @@ TEST(ServeServer, MalformedFaultSpecFailsTheJobOnly) {
 
 TEST(ServeServer, RoundRobinDispatchIsFairAcrossTenants) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {1, 16, true});
+  JobServer server(reg, {.workers = 1, .cache_capacity = 16});
   // alice bursts 4 jobs before bob's 2; dispatch must interleave.
   std::uint64_t a0 = server.submit({"alice", "bench:warpdiv", 0, tiny_defaults()});
   std::uint64_t a1 = server.submit({"alice", "bench:layout", 0, tiny_defaults()});
@@ -198,7 +198,7 @@ TEST(ServeServer, RoundRobinDispatchIsFairAcrossTenants) {
 TEST(ServeServer, ReportIsDeterministicAcrossWorkerCounts) {
   auto run_report = [](int workers) {
     KernelRegistry reg = KernelRegistry::builtin();
-    JobServer server(reg, {workers, 32, true});
+    JobServer server(reg, {.workers = workers, .cache_capacity = 32});
     for (int round = 0; round < 2; ++round)
       for (const char* k : {"bench:warpdiv", "bench:layout", "bench:readonly"})
         for (const char* tenant : {"t1", "t2"}) {
@@ -224,7 +224,8 @@ TEST(ServeServer, ReportIsDeterministicAcrossWorkerCounts) {
 
 TEST(ServeServer, EvictionCountersSurfaceUnderPressure) {
   KernelRegistry reg = KernelRegistry::builtin();
-  JobServer server(reg, {1, 2, true});  // Cache holds 2; 3 unique keys.
+  // Cache holds 2; 3 unique keys.
+  JobServer server(reg, {.workers = 1, .cache_capacity = 2});
   server.submit({"t", "bench:warpdiv", 0, tiny_defaults()});
   server.submit({"t", "bench:layout", 0, tiny_defaults()});
   server.submit({"t", "bench:readonly", 0, tiny_defaults()});
