@@ -1,34 +1,20 @@
 // Table I: the summary table of all fourteen microbenchmarks, with the
 // paper's claimed speedups next to the speedups measured on this simulator.
-// Runs every benchmark once at a representative (scaled-down) size.
+// Runs every Table-I row of the pair catalog once at its representative
+// (scaled-down) size.
 //
-// --smoke shrinks every benchmark to a tiny size so the binary doubles as a
-// ctest smoke run: functional verification still covers all fourteen pairs,
-// but the speedup column is not meaningful at these sizes.
+// --smoke shrinks every benchmark to its catalog smoke size so the binary
+// doubles as a ctest smoke run: functional verification still covers all
+// fourteen pairs, but the speedup column is not meaningful at these sizes.
 
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
-#include "core/bankredux.hpp"
-#include "core/comem.hpp"
-#include "core/conkernels.hpp"
-#include "core/dynparallel.hpp"
-#include "core/gsoverlap.hpp"
-#include "core/hdoverlap.hpp"
-#include "core/memalign.hpp"
-#include "core/minitransfer.hpp"
-#include "core/readonly.hpp"
+#include "core/catalog.hpp"
 #include "core/report.hpp"
-#include "core/shmem_mm.hpp"
-#include "core/shuffle_reduce.hpp"
-#include "core/taskgraph.hpp"
-#include "core/unimem.hpp"
-#include "core/warpdiv.hpp"
 
 using namespace cumb;
-using vgpu::DeviceProfile;
 
 int main(int argc, char** argv) {
   bool smoke = false;
@@ -37,82 +23,13 @@ int main(int argc, char** argv) {
 
   std::vector<Table1Row> rows;
   bool all_verified = true;
-  auto add = [&](const PairResult& r, std::string pattern, std::string technique,
-                 std::string paper, int prog) {
-    rows.push_back(Table1Row{r.name, std::move(pattern), std::move(technique),
-                             std::move(paper), r.speedup(), prog});
+  for (const PairDef& row : catalog()) {
+    if (!row.in_table1()) continue;
+    Runtime rt(row.profile());
+    PairResult r = smoke ? row.run(rt, row.smoke_n) : row.full(rt);
+    rows.push_back(Table1Row{r.name, row.pattern, row.technique, row.paper,
+                             r.speedup(), row.programmability});
     all_verified = all_verified && r.results_match;
-  };
-
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_warpdiv(rt, smoke ? 1 << 12 : 1 << 18), "threads enter different branches",
-        "take the warp size as the branch step", "1.1 (average)", 3);
-  }
-  {
-    Runtime rt(DeviceProfile::rtx3080_scaled());
-    add(run_dynparallel(rt, smoke ? 256 : 1024, smoke ? 256 : 1024), "nested parallelism (adaptive grids)",
-        "dynamic parallelism (device-side launch)", "3.26 (best)", 4);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_conkernels(rt, smoke ? 4 : 8, smoke ? 2000 : 20000), "multiple kernel instances on one GPU",
-        "concurrent kernels on streams", "7 (average)", 4);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(smoke ? run_taskgraph(rt, 1024, 4, 2) : run_taskgraph(rt), "repeated work submission",
-        "pre-defined task graph, run repeatedly", "programmability", 3);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_shmem_mm(rt, smoke ? 64 : 256), "data accessed several times",
-        "stage reused tiles in shared memory", "1.25 (average)", 2);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_comem(rt, smoke ? 1 << 15 : 1 << 22, smoke ? 16 : 1024), "strided/uncoalesced access across threads",
-        "cyclic distribution (consecutive access)", "18 (average)", 3);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_memalign(rt, smoke ? 1 << 14 : 1 << 20), "unaligned first address",
-        "aligned allocation/indexing", "1.1 (average)", 1);
-  }
-  {
-    Runtime rt(DeviceProfile::rtx3080());
-    add(run_gsoverlap(rt, smoke ? 1 << 14 : 1 << 20), "global->shared copy takes much time",
-        "memcpy_async (CUDA 11)", "1.04 (best)", 3);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_shuffle_reduce(rt, smoke ? 1 << 14 : 1 << 20), "data exchange between threads",
-        "warp shuffle between registers", "1.25 (average)", 5);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_bankredux(rt, smoke ? 1 << 14 : 1 << 20), "threads hit different words of one bank",
-        "sequential indexing (no conflicts)", "1.3 (average)", 5);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(smoke ? run_hdoverlap(rt, 1 << 16, 2, 2) : run_hdoverlap(rt, 1 << 20), "host-device copy takes much time",
-        "cudaMemcpyAsync + streams", "1.036 (best)", 1);
-  }
-  {
-    Runtime rt(DeviceProfile::k80());
-    add(run_readonly(rt, smoke ? 128 : 512), "large amount of read-only data",
-        "constant/texture memory", "4.3 (best)", 1);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_unimem(rt, smoke ? 1 << 16 : 1 << 22, smoke ? 256 : 4096), "low memory access density",
-        "unified memory, copy only needed pages", "3 (average)", 3);
-  }
-  {
-    Runtime rt(DeviceProfile::v100());
-    add(run_minitransfer(rt, smoke ? 256 : 2048, smoke ? 1024 : 2048LL * 16), "useless data transferred",
-        "CSR layout, transfer only non-zeros", "190 (best)", 5);
   }
 
   std::printf("# Table I - CUDAMicroBench summary (paper speedup vs measured on "

@@ -1,23 +1,9 @@
 #include "serve/registry.hpp"
 
+#include <climits>
 #include <stdexcept>
 
-#include "core/bankredux.hpp"
-#include "core/comem.hpp"
-#include "core/conkernels.hpp"
-#include "core/dynparallel.hpp"
-#include "core/gsoverlap.hpp"
-#include "core/hdoverlap.hpp"
-#include "core/histogram.hpp"
-#include "core/layout.hpp"
-#include "core/memalign.hpp"
-#include "core/minitransfer.hpp"
-#include "core/readonly.hpp"
-#include "core/shmem_mm.hpp"
-#include "core/shuffle_reduce.hpp"
-#include "core/taskgraph.hpp"
-#include "core/unimem.hpp"
-#include "core/warpdiv.hpp"
+#include "core/catalog.hpp"
 #include "fault/inject.hpp"
 #include "grade/json.hpp"
 #include "grade/verdict.hpp"
@@ -80,104 +66,25 @@ std::string multi_blob(std::string_view kernel, long long n,
 
 KernelRegistry KernelRegistry::builtin() {
   KernelRegistry reg;
-  auto add = [&reg](const char* name, long long default_n,
-                    std::function<cumb::PairResult(Runtime&, long long)> run) {
-    reg.bench_[std::string("bench:") + name] =
-        BenchEntry{default_n, std::move(run)};
-  };
-  // Default sizes are the table1_summary --smoke shapes: every size
-  // constraint (comem's grid*block divisibility, dynparallel's pow2 floor,
-  // shmem_mm's tiling) is known-valid, and a default-size job stays fast
-  // enough for interactive queues.
-  add("comem", 1 << 15,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_comem(rt, static_cast<int>(n), /*grid_blocks=*/16);
-      });
-  add("warpdiv", 1 << 12,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_warpdiv(rt, static_cast<int>(n));
-      });
-  add("memalign", 1 << 14,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_memalign(rt, static_cast<int>(n));
-      });
-  add("shmem_mm", 64,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_shmem_mm(rt, static_cast<int>(n));
-      });
-  add("conkernels", 4,  // n = concurrent kernel count.
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_conkernels(rt, static_cast<int>(n), /*iters=*/2000);
-      });
-  add("taskgraph", 1024,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_taskgraph(rt, static_cast<int>(n), /*chain_length=*/4,
-                                   /*iterations=*/2);
-      });
-  add("hdoverlap", 1 << 16,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_hdoverlap(rt, static_cast<int>(n), /*chunks=*/2,
-                                   /*streams=*/2);
-      });
-  add("gsoverlap", 1 << 14,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_gsoverlap(rt, static_cast<int>(n));
-      });
-  add("bankredux", 1 << 14,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_bankredux(rt, static_cast<int>(n));
-      });
-  add("shuffle", 1 << 14,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_shuffle_reduce(rt, static_cast<int>(n));
-      });
-  add("readonly", 128,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_readonly(rt, static_cast<int>(n));
-      });
-  add("constpoly", 1 << 12,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_const_poly(rt, static_cast<int>(n), /*terms=*/4);
-      });
-  add("unimem", 1 << 16,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_unimem(rt, static_cast<int>(n), /*stride=*/256);
-      });
-  add("minitransfer", 256,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_minitransfer(rt, static_cast<int>(n), /*nnz=*/1024);
-      });
-  add("dynparallel", 256,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_dynparallel(rt, static_cast<int>(n), /*max_iter=*/256);
-      });
-  add("histogram", 1 << 16,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_histogram(rt, static_cast<int>(n));
-      });
-  add("layout", 1 << 12,
-      [](Runtime& rt, long long n) -> cumb::PairResult {
-        return cumb::run_layout(rt, static_cast<int>(n));
-      });
+  // Bench default sizes are the catalog smoke shapes.
+  for (const cumb::PairDef& p : cumb::catalog())
+    reg.bench_[std::string("bench:") + p.id] = &p;
 
   // Multi-GPU scaling pairs. The device count comes from the job's
   // RuntimeOptions (devices/topology), so one kernel id covers every
   // scale-out shape; default sizes are the multi_test smoke shapes.
   reg.multi_["multi:halo"] = MultiEntry{
-      1 << 12, [](const RuntimeOptions& opts, long long n) {
-        return cumb::run_halo_exchange(opts, opts.devices,
-                                       static_cast<int>(n), /*steps=*/4);
+      1 << 12, [](const RuntimeOptions& opts, int n) {
+        return cumb::run_halo_exchange(opts, opts.devices, n, /*steps=*/4);
       }};
   reg.multi_["multi:histogram"] = MultiEntry{
-      1 << 14, [](const RuntimeOptions& opts, long long n) {
-        return cumb::run_sharded_histogram(opts, opts.devices,
-                                           static_cast<int>(n), /*bins=*/64,
+      1 << 14, [](const RuntimeOptions& opts, int n) {
+        return cumb::run_sharded_histogram(opts, opts.devices, n, /*bins=*/64,
                                            /*skew=*/0.25);
       }};
   reg.multi_["multi:matmul"] = MultiEntry{
-      64, [](const RuntimeOptions& opts, long long n) {
-        int e = static_cast<int>(n);
-        return cumb::run_pipelined_matmul(opts, opts.devices, e, e, e);
+      64, [](const RuntimeOptions& opts, int n) {
+        return cumb::run_pipelined_matmul(opts, opts.devices, n, n, n);
       }};
   return reg;
 }
@@ -229,12 +136,23 @@ KernelKind KernelRegistry::kind(std::string_view kernel) const {
 
 long long KernelRegistry::default_size(std::string_view kernel) const {
   auto it = bench_.find(std::string(kernel));
-  if (it != bench_.end()) return it->second.default_n;
+  if (it != bench_.end()) return it->second->smoke_n;
   auto mit = multi_.find(std::string(kernel));
   if (mit != multi_.end()) return mit->second.default_n;
   if (known(kernel)) return 0;  // grade: the task spec owns its inputs.
   throw std::invalid_argument("vgpu-serve: unknown kernel: " +
                               std::string(kernel));
+}
+
+long long KernelRegistry::resolve_size(std::string_view kernel,
+                                       long long n) const {
+  KernelKind k = kind(kernel);  // Throws for unknown kernels.
+  long long size = n > 0 ? n : default_size(kernel);
+  if (size > INT_MAX && k != KernelKind::kGrade)
+    throw std::invalid_argument("vgpu-serve: size n=" + std::to_string(size) +
+                                " of " + std::string(kernel) +
+                                " does not fit an int");
+  return size;
 }
 
 std::string KernelRegistry::run(std::string_view kernel, long long n,
@@ -246,8 +164,32 @@ std::string KernelRegistry::run(std::string_view kernel, long long n,
                                 const RuntimeOptions& opts,
                                 const ExecHooks& hooks) const {
   auto it = bench_.find(std::string(kernel));
+  auto mit = multi_.find(std::string(kernel));
+  if (it == bench_.end() && mit == multi_.end()) {
+    if (!known(kernel))
+      throw std::invalid_argument("vgpu-serve: unknown kernel: " +
+                                  std::string(kernel));
+    std::string_view rest = kernel.substr(6);
+    std::size_t slash = rest.find('/');
+    grade::GradeOptions gopts;
+    gopts.threads = opts.sim_threads;
+    gopts.fidelity = opts.fidelity;
+    gopts.fault_spec = opts.fault_spec;
+    gopts.baselines = grade_baselines_;
+    grade::Verdict v =
+        grade::run_grade(*grade_tasks_, *grade_plugins_, rest.substr(0, slash),
+                         rest.substr(slash + 1), gopts);
+    // Grade failures are structured verdicts in the blob, not retryable
+    // execution faults: the outcome stays "success" so the retry engine
+    // gives grade jobs exactly one attempt.
+    if (hooks.outcome != nullptr) *hooks.outcome = RunOutcome{};
+    return grade::to_json(v);
+  }
+  // The one narrowing of a job size: pairs take an int, and resolve_size
+  // has thrown for sizes that do not fit one.
+  long long size = resolve_size(kernel, n);
+  int n32 = static_cast<int>(size);
   if (it != bench_.end()) {
-    long long size = n > 0 ? n : it->second.default_n;
     Runtime rt(opts);
     if (hooks.injector != nullptr) rt.adopt_fault_injector(hooks.injector);
     // Classify the attempt the way a careful CUDA host program would: peek
@@ -263,7 +205,7 @@ std::string KernelRegistry::run(std::string_view kernel, long long n,
       return c == ErrorCode::kSuccess ? fallback : c;
     };
     try {
-      cumb::PairResult r = it->second.fn(rt, size);
+      cumb::PairResult r = it->second->run(rt, n32);
       if (hooks.outcome != nullptr) {
         hooks.outcome->verified = r.results_match;
         hooks.outcome->code = classify(ErrorCode::kSuccess);
@@ -281,51 +223,28 @@ std::string KernelRegistry::run(std::string_view kernel, long long n,
       throw;
     }
   }
-  auto mit = multi_.find(std::string(kernel));
-  if (mit != multi_.end()) {
-    long long size = n > 0 ? n : mit->second.default_n;
-    try {
-      cumb::MultiPairResult r = mit->second.fn(opts, size);
-      if (hooks.outcome != nullptr) {
-        hooks.outcome->verified = r.results_match();
-        hooks.outcome->device_errors = r.device_errors;
-        ErrorCode c = ErrorCode::kSuccess;
-        for (int e : r.device_errors)
-          if (e != 0) {
-            c = static_cast<ErrorCode>(e);
-            break;
-          }
-        hooks.outcome->code = c;
-      }
-      return multi_blob(kernel, size, r);
-    } catch (...) {
-      if (hooks.outcome != nullptr) {
-        hooks.outcome->verified = false;
-        hooks.outcome->code = ErrorCode::kUnknown;
-        hooks.outcome->device_errors.clear();
-      }
-      throw;
+  try {
+    cumb::MultiPairResult r = mit->second.fn(opts, n32);
+    if (hooks.outcome != nullptr) {
+      hooks.outcome->verified = r.results_match();
+      hooks.outcome->device_errors = r.device_errors;
+      ErrorCode c = ErrorCode::kSuccess;
+      for (int e : r.device_errors)
+        if (e != 0) {
+          c = static_cast<ErrorCode>(e);
+          break;
+        }
+      hooks.outcome->code = c;
     }
+    return multi_blob(kernel, size, r);
+  } catch (...) {
+    if (hooks.outcome != nullptr) {
+      hooks.outcome->verified = false;
+      hooks.outcome->code = ErrorCode::kUnknown;
+      hooks.outcome->device_errors.clear();
+    }
+    throw;
   }
-  if (known(kernel)) {
-    std::string_view rest = kernel.substr(6);
-    std::size_t slash = rest.find('/');
-    grade::GradeOptions gopts;
-    gopts.threads = opts.sim_threads;
-    gopts.fidelity = opts.fidelity;
-    gopts.fault_spec = opts.fault_spec;
-    gopts.baselines = grade_baselines_;
-    grade::Verdict v =
-        grade::run_grade(*grade_tasks_, *grade_plugins_, rest.substr(0, slash),
-                         rest.substr(slash + 1), gopts);
-    // Grade failures are structured verdicts in the blob, not retryable
-    // execution faults: the outcome stays "success" so the retry engine
-    // gives grade jobs exactly one attempt.
-    if (hooks.outcome != nullptr) *hooks.outcome = RunOutcome{};
-    return grade::to_json(v);
-  }
-  throw std::invalid_argument("vgpu-serve: unknown kernel: " +
-                              std::string(kernel));
 }
 
 std::string fnv1a64_hex(std::string_view s) {

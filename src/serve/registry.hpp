@@ -4,13 +4,14 @@
 //
 // Three families of kernel ids:
 //
-//   bench:<name>             one of the paper's microbenchmark pairs
-//                            (core/run_*), e.g. "bench:comem". Runs both the
-//                            naive and optimized variant inside a Runtime
-//                            built from the job's RuntimeOptions and renders
-//                            the PairResult as a small deterministic JSON
-//                            blob (grade/json.hpp shortest-round-trip
-//                            numbers, fixed field order).
+//   bench:<id>               one of the 17 rows of the pair catalog
+//                            (core/catalog.hpp), e.g. "bench:comem". Runs
+//                            the row's naive and optimized variant inside a
+//                            Runtime built from the job's RuntimeOptions and
+//                            renders the PairResult as a small deterministic
+//                            JSON blob (grade/json.hpp shortest-round-trip
+//                            numbers, fixed field order). The default size
+//                            is the row's smoke_n.
 //
 //   grade:<task>/<submission> a vgpu-grade evaluation, e.g.
 //                            "grade:comem/comem_coalesced". Dispatches to
@@ -49,6 +50,10 @@
 #include "multi/ports.hpp"
 #include "rt/options.hpp"
 
+namespace cumb {
+struct PairDef;
+}
+
 namespace vgpu {
 class FaultInjector;
 }
@@ -83,7 +88,8 @@ struct ExecHooks {
 
 class KernelRegistry {
  public:
-  /// The registry with every bench:<name> and multi:<name> pair registered.
+  /// The registry with every catalog row as bench:<id> and every
+  /// multi:<name> pair registered.
   static KernelRegistry builtin();
 
   /// Enable grade:<task>/<submission> ids. Non-owning: the registries (and
@@ -106,13 +112,19 @@ class KernelRegistry {
   /// std::invalid_argument for unknown kernels.
   long long default_size(std::string_view kernel) const;
 
-  /// Execute `kernel` at problem size `n` (0 = default_size) under `opts`
+  /// The size a job asking for `n` runs at: n, or default_size(kernel) when
+  /// n <= 0. Throws std::invalid_argument for unknown kernels and for bench
+  /// and multi sizes above INT_MAX (their pairs take an int).
+  long long resolve_size(std::string_view kernel, long long n) const;
+
+  /// Execute `kernel` at problem size resolve_size(kernel, n) under `opts`
   /// and return the deterministic JSON blob. Bench jobs construct
   /// Runtime(opts) directly; multi jobs a DeviceSet over opts.devices; grade
   /// jobs map opts onto GradeOptions (sim_threads, fidelity, fault_spec —
   /// the task spec owns the profile). Throws std::invalid_argument for
-  /// unknown kernels; kernel-side failures in grade jobs come back as
-  /// structured error verdicts, not exceptions.
+  /// unknown kernels and for the sizes resolve_size rejects; kernel-side
+  /// failures in grade jobs come back as structured error verdicts, not
+  /// exceptions.
   std::string run(std::string_view kernel, long long n,
                   const RuntimeOptions& opts) const;
 
@@ -123,16 +135,12 @@ class KernelRegistry {
                   const RuntimeOptions& opts, const ExecHooks& hooks) const;
 
  private:
-  struct BenchEntry {
-    long long default_n;
-    std::function<cumb::PairResult(Runtime&, long long)> fn;
-  };
   struct MultiEntry {
     long long default_n;
-    std::function<cumb::MultiPairResult(const RuntimeOptions&, long long)> fn;
+    std::function<cumb::MultiPairResult(const RuntimeOptions&, int)> fn;
   };
 
-  std::map<std::string, BenchEntry> bench_;
+  std::map<std::string, const cumb::PairDef*> bench_;
   std::map<std::string, MultiEntry> multi_;
   const grade::TaskRegistry* grade_tasks_ = nullptr;
   const grade::PluginRegistry* grade_plugins_ = nullptr;

@@ -71,9 +71,8 @@ RuntimeOptions JobServer::exec_options(const JobSpec& spec) const {
 }
 
 std::string JobServer::job_key(const JobSpec& spec) const {
-  long long resolved =
-      spec.n > 0 ? spec.n : registry_.default_size(spec.kernel);
-  return spec.kernel + "|n=" + std::to_string(resolved) + "|" +
+  return spec.kernel + "|n=" +
+         std::to_string(registry_.resolve_size(spec.kernel, spec.n)) + "|" +
          spec.options.canonical();
 }
 
@@ -165,12 +164,11 @@ JobServer::Decision JobServer::decide(JobRecord& rec, RunState& state) {
     return Decision::kDone;
   }
   try {
-    rec.resolved_n = rec.spec.n > 0 ? rec.spec.n
-                                    : registry_.default_size(rec.spec.kernel);
+    rec.resolved_n = registry_.resolve_size(rec.spec.kernel, rec.spec.n);
     rec.key = job_key(rec.spec);
     rec.key_hash = fnv1a64_hex(rec.key);
     rec.policy = policy_for(rec);
-  } catch (const std::exception& e) {  // Malformed fault/retry spec, etc.
+  } catch (const std::exception& e) {  // Oversized n, malformed spec, etc.
     mark_failed(rec, ErrorCode::kInvalidValue, e.what());
     clock_.now += static_cast<double>(rec.quota_wait_us);
     ++state.completed;

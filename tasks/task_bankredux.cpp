@@ -58,18 +58,6 @@ class BankreduxPlugin : public TaskPlugin {
   DevSpan<Real> r_;
 };
 
-class BankreduxNaive : public BankreduxPlugin {
- public:
-  BankreduxNaive(std::string t, std::string n)
-      : BankreduxPlugin(std::move(t), std::move(n), false) {}
-};
-
-class BankreduxOptimized : public BankreduxPlugin {
- public:
-  BankreduxOptimized(std::string t, std::string n)
-      : BankreduxPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_bankredux(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -87,13 +75,7 @@ void register_bankredux(TaskRegistry& tasks, PluginRegistry& plugins) {
   spec.reference = [](const TaskData& d) { return block_sums(d.f("x")); };
   spec.tolerance = 0.05;
   spec.gating_rules = {"shared-bank-conflicts"};
-  spec.baseline_submission = "bankredux.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<BankreduxNaive>(plugins, "bankredux", "bankredux.naive",
-                             Expectation::kMustFail);
-  add_plugin<BankreduxOptimized>(plugins, "bankredux", "bankredux.optimized",
-                                 Expectation::kMustPass);
+  add_pair<BankreduxPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

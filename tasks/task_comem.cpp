@@ -45,18 +45,6 @@ class ComemPlugin : public TaskPlugin {
   DevSpan<Real> y_;
 };
 
-class ComemNaive : public ComemPlugin {
- public:
-  ComemNaive(std::string t, std::string n)
-      : ComemPlugin(std::move(t), std::move(n), false) {}
-};
-
-class ComemOptimized : public ComemPlugin {
- public:
-  ComemOptimized(std::string t, std::string n)
-      : ComemPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_comem(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -79,13 +67,7 @@ void register_comem(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"uncoalesced-global"};
-  spec.baseline_submission = "comem.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<ComemNaive>(plugins, "comem", "comem.naive",
-                         Expectation::kMustFail);
-  add_plugin<ComemOptimized>(plugins, "comem", "comem.optimized",
-                             Expectation::kMustPass);
+  add_pair<ComemPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

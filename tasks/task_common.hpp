@@ -4,10 +4,11 @@
 //
 // Each tasks/task_<id>.cpp derives one grading task from a Table-I
 // microbenchmark pair: the task spec reuses the benchmark's deterministic
-// inputs and host reference, the naive half of the pair is registered as a
-// must-fail submission and the optimized half as the must-pass baseline
-// submission. Submissions are ordinary KernelPlugins written against the
-// <vgpu.hpp> facade — exactly what an external author would write.
+// inputs and host reference, and add_pair registers the naive half of the
+// pair as a must-fail submission and the optimized half as the must-pass
+// baseline submission. Submissions are ordinary KernelPlugins written
+// against the <vgpu.hpp> facade — exactly what an external author would
+// write.
 
 #include <memory>
 #include <span>
@@ -43,12 +44,23 @@ class TaskPlugin : public KernelPlugin {
   std::string name_;
 };
 
-/// Register plugin type P (constructible from (task, name)) under `name`.
+/// Register `spec` and its two submissions. Plugin type P is constructible
+/// from (task, name, optimized): "<id>.naive" is P(id, name, false) and must
+/// fail, "<id>.optimized" is P(id, name, true), must pass and is the task's
+/// baseline submission.
 template <typename P>
-void add_plugin(PluginRegistry& reg, const std::string& task,
-                const std::string& name, Expectation expect) {
-  reg.add(task, name, expect,
-          [task, name] { return std::make_unique<P>(task, name); });
+void add_pair(TaskRegistry& tasks, PluginRegistry& plugins, TaskSpec spec) {
+  const std::string id = spec.id;
+  spec.baseline_submission = id + ".optimized";
+  tasks.add(std::move(spec));
+  for (bool optimized : {false, true}) {
+    std::string name = id + (optimized ? ".optimized" : ".naive");
+    plugins.add(id, name,
+                optimized ? Expectation::kMustPass : Expectation::kMustFail,
+                [id, name, optimized] {
+                  return std::make_unique<P>(id, name, optimized);
+                });
+  }
 }
 
 inline DevSpan<Real> upload(vgpu::Runtime& rt, const std::vector<Real>& h) {

@@ -52,18 +52,6 @@ class ConkernelsPlugin : public TaskPlugin {
   std::vector<DevSpan<Real>> bufs_;
 };
 
-class ConkernelsNaive : public ConkernelsPlugin {
- public:
-  ConkernelsNaive(std::string t, std::string n)
-      : ConkernelsPlugin(std::move(t), std::move(n), false) {}
-};
-
-class ConkernelsOptimized : public ConkernelsPlugin {
- public:
-  ConkernelsOptimized(std::string t, std::string n)
-      : ConkernelsPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_conkernels(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -93,13 +81,7 @@ void register_conkernels(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"serial-small-kernels"};
-  spec.baseline_submission = "conkernels.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<ConkernelsNaive>(plugins, "conkernels", "conkernels.naive",
-                              Expectation::kMustFail);
-  add_plugin<ConkernelsOptimized>(plugins, "conkernels", "conkernels.optimized",
-                                  Expectation::kMustPass);
+  add_pair<ConkernelsPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

@@ -57,18 +57,6 @@ class ConstpolyPlugin : public TaskPlugin {
   ConstSpan<Real> cc_;
 };
 
-class ConstpolyNaive : public ConstpolyPlugin {
- public:
-  ConstpolyNaive(std::string t, std::string n)
-      : ConstpolyPlugin(std::move(t), std::move(n), false) {}
-};
-
-class ConstpolyOptimized : public ConstpolyPlugin {
- public:
-  ConstpolyOptimized(std::string t, std::string n)
-      : ConstpolyPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_constpoly(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -101,13 +89,7 @@ void register_constpoly(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"missed-constant-broadcast"};
-  spec.baseline_submission = "constpoly.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<ConstpolyNaive>(plugins, "constpoly", "constpoly.naive",
-                             Expectation::kMustFail);
-  add_plugin<ConstpolyOptimized>(plugins, "constpoly", "constpoly.optimized",
-                                 Expectation::kMustPass);
+  add_pair<ConstpolyPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

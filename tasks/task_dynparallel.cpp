@@ -56,18 +56,6 @@ class DynparallelPlugin : public TaskPlugin {
   DevSpan<int> dwell_;
 };
 
-class DynparallelNaive : public DynparallelPlugin {
- public:
-  DynparallelNaive(std::string t, std::string n)
-      : DynparallelPlugin(std::move(t), std::move(n), false) {}
-};
-
-class DynparallelOptimized : public DynparallelPlugin {
- public:
-  DynparallelOptimized(std::string t, std::string n)
-      : DynparallelPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_dynparallel(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -87,14 +75,7 @@ void register_dynparallel(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"block-imbalance"};
-  spec.baseline_submission = "dynparallel.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<DynparallelNaive>(plugins, "dynparallel", "dynparallel.naive",
-                               Expectation::kMustFail);
-  add_plugin<DynparallelOptimized>(plugins, "dynparallel",
-                                   "dynparallel.optimized",
-                                   Expectation::kMustPass);
+  add_pair<DynparallelPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

@@ -47,18 +47,6 @@ class GsoverlapPlugin : public TaskPlugin {
   DevSpan<Real> y_;
 };
 
-class GsoverlapNaive : public GsoverlapPlugin {
- public:
-  GsoverlapNaive(std::string t, std::string n)
-      : GsoverlapPlugin(std::move(t), std::move(n), false) {}
-};
-
-class GsoverlapOptimized : public GsoverlapPlugin {
- public:
-  GsoverlapOptimized(std::string t, std::string n)
-      : GsoverlapPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_gsoverlap(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -81,13 +69,7 @@ void register_gsoverlap(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"sync-staging-no-async"};
-  spec.baseline_submission = "gsoverlap.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<GsoverlapNaive>(plugins, "gsoverlap", "gsoverlap.naive",
-                             Expectation::kMustFail);
-  add_plugin<GsoverlapOptimized>(plugins, "gsoverlap", "gsoverlap.optimized",
-                                 Expectation::kMustPass);
+  add_pair<GsoverlapPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

@@ -69,18 +69,6 @@ class HdoverlapPlugin : public TaskPlugin {
   std::vector<Real> got_;
 };
 
-class HdoverlapNaive : public HdoverlapPlugin {
- public:
-  HdoverlapNaive(std::string t, std::string n)
-      : HdoverlapPlugin(std::move(t), std::move(n), false) {}
-};
-
-class HdoverlapOptimized : public HdoverlapPlugin {
- public:
-  HdoverlapOptimized(std::string t, std::string n)
-      : HdoverlapPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_hdoverlap(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -104,13 +92,7 @@ void register_hdoverlap(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"missed-copy-compute-overlap"};
-  spec.baseline_submission = "hdoverlap.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<HdoverlapNaive>(plugins, "hdoverlap", "hdoverlap.naive",
-                             Expectation::kMustFail);
-  add_plugin<HdoverlapOptimized>(plugins, "hdoverlap", "hdoverlap.optimized",
-                                 Expectation::kMustPass);
+  add_pair<HdoverlapPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

@@ -45,18 +45,6 @@ class MemalignPlugin : public TaskPlugin {
   DevSpan<Real> y_;
 };
 
-class MemalignNaive : public MemalignPlugin {
- public:
-  MemalignNaive(std::string t, std::string n)
-      : MemalignPlugin(std::move(t), std::move(n), false) {}
-};
-
-class MemalignOptimized : public MemalignPlugin {
- public:
-  MemalignOptimized(std::string t, std::string n)
-      : MemalignPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_memalign(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -80,13 +68,7 @@ void register_memalign(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"misaligned-global"};
-  spec.baseline_submission = "memalign.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<MemalignNaive>(plugins, "memalign", "memalign.naive",
-                            Expectation::kMustFail);
-  add_plugin<MemalignOptimized>(plugins, "memalign", "memalign.optimized",
-                                Expectation::kMustPass);
+  add_pair<MemalignPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

@@ -76,18 +76,6 @@ class MinitransferPlugin : public TaskPlugin {
   std::vector<Real> got_;
 };
 
-class MinitransferNaive : public MinitransferPlugin {
- public:
-  MinitransferNaive(std::string t, std::string n)
-      : MinitransferPlugin(std::move(t), std::move(n), false) {}
-};
-
-class MinitransferOptimized : public MinitransferPlugin {
- public:
-  MinitransferOptimized(std::string t, std::string n)
-      : MinitransferPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_minitransfer(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -112,14 +100,7 @@ void register_minitransfer(TaskRegistry& tasks, PluginRegistry& plugins) {
   // both kernels reproduce the CSR reference bit-exactly.
   spec.tolerance = 0;
   spec.gating_rules = {"dense-offload-sparse"};
-  spec.baseline_submission = "minitransfer.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<MinitransferNaive>(plugins, "minitransfer", "minitransfer.naive",
-                                Expectation::kMustFail);
-  add_plugin<MinitransferOptimized>(plugins, "minitransfer",
-                                    "minitransfer.optimized",
-                                    Expectation::kMustPass);
+  add_pair<MinitransferPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

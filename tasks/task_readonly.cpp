@@ -60,18 +60,6 @@ class ReadonlyPlugin : public TaskPlugin {
   DevSpan<Real> c_;
 };
 
-class ReadonlyNaive : public ReadonlyPlugin {
- public:
-  ReadonlyNaive(std::string t, std::string n)
-      : ReadonlyPlugin(std::move(t), std::move(n), false) {}
-};
-
-class ReadonlyOptimized : public ReadonlyPlugin {
- public:
-  ReadonlyOptimized(std::string t, std::string n)
-      : ReadonlyPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_readonly(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -92,13 +80,7 @@ void register_readonly(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"read-only-no-texture"};
-  spec.baseline_submission = "readonly.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<ReadonlyNaive>(plugins, "readonly", "readonly.naive",
-                            Expectation::kMustFail);
-  add_plugin<ReadonlyOptimized>(plugins, "readonly", "readonly.optimized",
-                                Expectation::kMustPass);
+  add_pair<ReadonlyPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

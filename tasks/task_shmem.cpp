@@ -45,18 +45,6 @@ class ShmemPlugin : public TaskPlugin {
   DevSpan<Real> c_;
 };
 
-class ShmemNaive : public ShmemPlugin {
- public:
-  ShmemNaive(std::string t, std::string n)
-      : ShmemPlugin(std::move(t), std::move(n), false) {}
-};
-
-class ShmemOptimized : public ShmemPlugin {
- public:
-  ShmemOptimized(std::string t, std::string n)
-      : ShmemPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_shmem(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -80,13 +68,7 @@ void register_shmem(TaskRegistry& tasks, PluginRegistry& plugins) {
   // benchmark driver uses).
   spec.tolerance = 1e-4 * kNDim;
   spec.gating_rules = {"global-reuse-no-smem"};
-  spec.baseline_submission = "shmem.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<ShmemNaive>(plugins, "shmem", "shmem.naive",
-                         Expectation::kMustFail);
-  add_plugin<ShmemOptimized>(plugins, "shmem", "shmem.optimized",
-                             Expectation::kMustPass);
+  add_pair<ShmemPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

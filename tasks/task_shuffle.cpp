@@ -57,18 +57,6 @@ class ShufflePlugin : public TaskPlugin {
   DevSpan<Real> r_;
 };
 
-class ShuffleNaive : public ShufflePlugin {
- public:
-  ShuffleNaive(std::string t, std::string n)
-      : ShufflePlugin(std::move(t), std::move(n), false) {}
-};
-
-class ShuffleOptimized : public ShufflePlugin {
- public:
-  ShuffleOptimized(std::string t, std::string n)
-      : ShufflePlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_shuffle(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -86,13 +74,7 @@ void register_shuffle(TaskRegistry& tasks, PluginRegistry& plugins) {
   spec.reference = [](const TaskData& d) { return block_sums(d.f("x")); };
   spec.tolerance = 0.05;
   spec.gating_rules = {"smem-reduction-shuffle"};
-  spec.baseline_submission = "shuffle.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<ShuffleNaive>(plugins, "shuffle", "shuffle.naive",
-                           Expectation::kMustFail);
-  add_plugin<ShuffleOptimized>(plugins, "shuffle", "shuffle.optimized",
-                               Expectation::kMustPass);
+  add_pair<ShufflePlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

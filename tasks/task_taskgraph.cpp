@@ -65,18 +65,6 @@ class TaskgraphPlugin : public TaskPlugin {
   std::optional<vgpu::ExecGraph> exec_;
 };
 
-class TaskgraphNaive : public TaskgraphPlugin {
- public:
-  TaskgraphNaive(std::string t, std::string n)
-      : TaskgraphPlugin(std::move(t), std::move(n), false) {}
-};
-
-class TaskgraphOptimized : public TaskgraphPlugin {
- public:
-  TaskgraphOptimized(std::string t, std::string n)
-      : TaskgraphPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_taskgraph(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -101,13 +89,7 @@ void register_taskgraph(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"launch-overhead"};
-  spec.baseline_submission = "taskgraph.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<TaskgraphNaive>(plugins, "taskgraph", "taskgraph.naive",
-                             Expectation::kMustFail);
-  add_plugin<TaskgraphOptimized>(plugins, "taskgraph", "taskgraph.optimized",
-                                 Expectation::kMustPass);
+  add_pair<TaskgraphPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

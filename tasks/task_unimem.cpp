@@ -72,18 +72,6 @@ class UnimemPlugin : public TaskPlugin {
   std::vector<Real> got_;
 };
 
-class UnimemNaive : public UnimemPlugin {
- public:
-  UnimemNaive(std::string t, std::string n)
-      : UnimemPlugin(std::move(t), std::move(n), false) {}
-};
-
-class UnimemOptimized : public UnimemPlugin {
- public:
-  UnimemOptimized(std::string t, std::string n)
-      : UnimemPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_unimem(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -111,13 +99,7 @@ void register_unimem(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"eager-copy-sparse-touch"};
-  spec.baseline_submission = "unimem.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<UnimemNaive>(plugins, "unimem", "unimem.naive",
-                          Expectation::kMustFail);
-  add_plugin<UnimemOptimized>(plugins, "unimem", "unimem.optimized",
-                              Expectation::kMustPass);
+  add_pair<UnimemPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

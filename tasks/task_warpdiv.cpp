@@ -74,18 +74,6 @@ class WarpdivPlugin : public TaskPlugin {
   DevSpan<Real> z_;
 };
 
-class WarpdivNaive : public WarpdivPlugin {
- public:
-  WarpdivNaive(std::string t, std::string n)
-      : WarpdivPlugin(std::move(t), std::move(n), false) {}
-};
-
-class WarpdivOptimized : public WarpdivPlugin {
- public:
-  WarpdivOptimized(std::string t, std::string n)
-      : WarpdivPlugin(std::move(t), std::move(n), true) {}
-};
-
 }  // namespace
 
 void register_warpdiv(TaskRegistry& tasks, PluginRegistry& plugins) {
@@ -108,13 +96,7 @@ void register_warpdiv(TaskRegistry& tasks, PluginRegistry& plugins) {
   };
   spec.tolerance = 0;
   spec.gating_rules = {"warp-divergence"};
-  spec.baseline_submission = "warpdiv.optimized";
-  tasks.add(std::move(spec));
-
-  add_plugin<WarpdivNaive>(plugins, "warpdiv", "warpdiv.naive",
-                           Expectation::kMustFail);
-  add_plugin<WarpdivOptimized>(plugins, "warpdiv", "warpdiv.optimized",
-                               Expectation::kMustPass);
+  add_pair<WarpdivPlugin>(tasks, plugins, std::move(spec));
 }
 
 }  // namespace cumb::gradetasks

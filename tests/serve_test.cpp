@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,6 +57,23 @@ TEST(ServeRegistry, RunIsByteDeterministic) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"kernel\": \"bench:warpdiv\""), std::string::npos);
   EXPECT_NE(a.find("\"verified\": true"), std::string::npos);
+}
+
+// A size that does not fit an int must be rejected, not truncated: as an
+// int, (1 << 32) + 4096 is 4096, a valid size that would run and be cached
+// under the key of the huge one.
+constexpr long long kHugeN = (1LL << 32) + 4096;
+
+TEST(ServeRegistry, SizeAboveIntMaxIsRejectedNotTruncated) {
+  KernelRegistry reg = KernelRegistry::builtin();
+  RuntimeOptions o = tiny_defaults();
+  for (const char* id : {"bench:warpdiv", "multi:halo"}) {
+    EXPECT_THROW(reg.resolve_size(id, kHugeN), std::invalid_argument) << id;
+    EXPECT_THROW(reg.run(id, kHugeN, o), std::invalid_argument) << id;
+    EXPECT_EQ(reg.resolve_size(id, 0), reg.default_size(id)) << id;
+    EXPECT_EQ(reg.resolve_size(id, INT_MAX), INT_MAX) << id;
+  }
+  EXPECT_THROW(reg.resolve_size("bench:nope", 1), std::invalid_argument);
 }
 
 TEST(ServeRegistry, Fnv1a64HexIsStable) {
@@ -160,6 +178,29 @@ TEST(ServeServer, UnknownKernelIsAFailedRecordNotACrash) {
   EXPECT_FALSE(recs[0].ok);
   EXPECT_NE(recs[0].error.find("unknown kernel"), std::string::npos);
   EXPECT_TRUE(recs[1].ok);
+}
+
+TEST(ServeServer, SizeAboveIntMaxFailsTheJobWithoutRunningIt) {
+  KernelRegistry reg = KernelRegistry::builtin();
+  JobServer server(reg, {.workers = 1, .cache_capacity = 16});
+  server.submit({"t", "bench:warpdiv", kHugeN, tiny_defaults()});
+  server.submit({"t", "multi:halo", kHugeN, tiny_defaults()});
+  server.submit({"t", "bench:warpdiv", 4096, tiny_defaults()});
+  server.run();
+  const auto& recs = server.records();
+  for (int i : {0, 1}) {
+    EXPECT_FALSE(recs[i].ok) << i;
+    EXPECT_EQ(recs[i].error_code, static_cast<int>(ErrorCode::kInvalidValue));
+    EXPECT_NE(recs[i].error.find("does not fit an int"), std::string::npos);
+    EXPECT_TRUE(recs[i].key.empty()) << i;  // Rejected before the cache.
+    EXPECT_TRUE(recs[i].blob.empty()) << i;
+    ASSERT_EQ(recs[i].attempt_log.size(), 1u) << i;
+    EXPECT_EQ(recs[i].attempt_log[0].action, "give_up");
+  }
+  EXPECT_TRUE(recs[2].ok);
+  // Only the valid job reached the cache and executed.
+  EXPECT_EQ(server.cache().misses(), 1u);
+  EXPECT_EQ(server.cache().hits(), 0u);
 }
 
 TEST(ServeServer, MalformedFaultSpecFailsTheJobOnly) {
