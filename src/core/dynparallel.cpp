@@ -39,6 +39,23 @@ void pixel_coords(const MandelFrame& f, const LaneI& px, const LaneI& py,
   cy = py.cast<float>() * f.scale + f.y0;
 }
 
+/// Dwells of pixel row `py` into `row` (width entries).
+void mandel_ref_row(int* row, int py, int width, MandelFrame f, int max_iter) {
+  for (int px = 0; px < width; ++px) {
+    float cx = static_cast<float>(px) * f.scale + f.x0;
+    float cy = static_cast<float>(py) * f.scale + f.y0;
+    float zx = 0, zy = 0;
+    int it = 0;
+    while (zx * zx + zy * zy < 4.0f && it < max_iter) {
+      float t = zx * zx - zy * zy + cx;
+      zy = 2.0f * (zx * zy) + cy;
+      zx = t;
+      ++it;
+    }
+    row[px] = it;
+  }
+}
+
 }  // namespace
 
 WarpTask mandel_escape_kernel(WarpCtx& w, DevSpan<int> dwell, int width, int height,
@@ -161,21 +178,19 @@ WarpTask mandel_ms_kernel(WarpCtx& w, DevSpan<int> dwell, int width, MandelFrame
 
 std::vector<int> mandel_ref(int width, int height, MandelFrame f, int max_iter) {
   std::vector<int> out(static_cast<std::size_t>(width) * static_cast<std::size_t>(height));
-  for (int py = 0; py < height; ++py) {
-    for (int px = 0; px < width; ++px) {
-      float cx = static_cast<float>(px) * f.scale + f.x0;
-      float cy = static_cast<float>(py) * f.scale + f.y0;
-      float zx = 0, zy = 0;
-      int it = 0;
-      while (zx * zx + zy * zy < 4.0f && it < max_iter) {
-        float t = zx * zx - zy * zy + cx;
-        zy = 2.0f * (zx * zy) + cy;
-        zx = t;
-        ++it;
-      }
-      out[static_cast<std::size_t>(py) * width + px] = it;
-    }
-  }
+  for (int py = 0; py < height; ++py)
+    mandel_ref_row(out.data() + static_cast<std::size_t>(py) * width, py, width, f,
+                   max_iter);
+  return out;
+}
+
+std::vector<int> mandel_ref(Runtime& rt, int width, int height, MandelFrame f,
+                            int max_iter) {
+  std::vector<int> out(static_cast<std::size_t>(width) * static_cast<std::size_t>(height));
+  rt.gpu().parallel_for(height, [&](long long py) {
+    mandel_ref_row(out.data() + static_cast<std::size_t>(py) * width,
+                   static_cast<int>(py), width, f, max_iter);
+  });
   return out;
 }
 
@@ -211,7 +226,7 @@ DynParallelResult run_dynparallel(Runtime& rt, int size, int max_iter) {
   std::vector<int> ms_out(pixels);
   rt.memcpy_d2h(std::span<int>(ms_out), dwell);
 
-  std::vector<int> want = mandel_ref(size, size, f, max_iter);
+  std::vector<int> want = mandel_ref(rt, size, size, f, max_iter);
   long long esc_bad = 0;
   for (std::size_t i = 0; i < pixels; ++i)
     if (escape_out[i] != want[i]) ++esc_bad;

@@ -49,6 +49,10 @@ WarpTask mandel_ms_kernel(WarpCtx& w, DevSpan<int> dwell, int width, MandelFrame
 
 /// Host reference (identical float arithmetic order as the kernels).
 std::vector<int> mandel_ref(int width, int height, MandelFrame f, int max_iter);
+/// The same image, its rows computed on `rt`'s simulation pool
+/// (GpuExec::parallel_for); each pixel's float sequence is unchanged.
+std::vector<int> mandel_ref(Runtime& rt, int width, int height, MandelFrame f,
+                            int max_iter);
 
 struct DynParallelResult : PairResult {
   std::uint64_t device_launches = 0;

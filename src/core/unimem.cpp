@@ -28,8 +28,13 @@ UniMemResult run_unimem(Runtime& rt, int n, int stride) {
     throw std::invalid_argument("run_unimem: stride must divide n");
   int m = n / stride;
 
-  auto hx = random_vector(static_cast<std::size_t>(n), 121);
-  auto hy0 = random_vector(static_cast<std::size_t>(n), 122);
+  // Two independently seeded inputs, generated concurrently on the
+  // simulation pool; each equals its serial call.
+  std::vector<Real> hx, hy0;
+  rt.gpu().parallel_for(2, [&](long long j) {
+    if (j == 0) hx = random_vector(static_cast<std::size_t>(n), 121);
+    if (j == 1) hy0 = random_vector(static_cast<std::size_t>(n), 122);
+  });
   std::vector<Real> want = hy0;
   for (int i = 0; i < m; ++i)
     want[static_cast<std::size_t>(i) * stride] += a * hx[static_cast<std::size_t>(i) * stride];

@@ -91,7 +91,8 @@ struct BlockCaches {
 class GlobalMemory {
  public:
   explicit GlobalMemory(const DeviceProfile& profile)
-      : profile_(&profile), l2_(profile.l2_size, profile.l2_assoc) {}
+      : profile_(&profile), heap_(profile.gmem_bytes),
+        l2_(profile.l2_size, profile.l2_assoc) {}
 
   DeviceHeap& heap() { return heap_; }
   const DeviceHeap& heap() const { return heap_; }

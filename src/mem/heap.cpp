@@ -1,8 +1,30 @@
 #include "mem/heap.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <new>
 
 namespace vgpu {
+
+namespace {
+
+// NORESERVE: only the pages a workload touches are ever backed, so a 40 GiB
+// device costs address space, not RAM or swap.
+std::byte* reserve(std::size_t bytes) {
+  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<std::byte*>(p);
+}
+
+}  // namespace
+
+DeviceHeap::DeviceHeap(std::size_t capacity)
+    : capacity_(std::max(capacity != 0 ? capacity : kDefaultCapacity, kReserved)),
+      mem_(reserve(capacity_)) {}
+
+DeviceHeap::~DeviceHeap() { ::munmap(mem_, capacity_); }
 
 DevAddr DeviceHeap::alloc(std::size_t bytes, std::size_t align) {
   return alloc_offset(bytes, 0, align);
@@ -12,16 +34,14 @@ DevAddr DeviceHeap::alloc_offset(std::size_t bytes, std::size_t offset, std::siz
   if (align == 0 || (align & (align - 1)) != 0)
     throw std::invalid_argument("alignment must be a power of two");
   if (offset >= align) throw std::invalid_argument("offset must be < align");
-  std::size_t base = (top_ + align - 1) & ~(align - 1);
-  std::size_t addr = base + offset;
-  std::size_t end = addr + bytes;
-  if (capacity_ != 0 && end > capacity_) return DevAddr{0};  // Device OOM.
-  if (end > mem_.size()) {
-    std::size_t grow = std::max(end, mem_.size() * 2);
-    if (capacity_ != 0) grow = std::min(grow, capacity_);  // Never commit past capacity.
-    mem_.resize(grow, std::byte{0});
-  }
-  top_ = end;
+  // Padding, offset and size are checked against the room left one at a
+  // time, so an oversized request fails (device OOM) instead of wrapping.
+  const std::size_t room = capacity_ - top_;
+  const std::size_t pad = (align - top_ % align) % align;
+  if (pad > room || offset > room - pad || bytes > room - pad - offset)
+    return DevAddr{0};
+  const std::size_t addr = top_ + pad + offset;
+  top_ = addr + bytes;
   allocs_.push_back(HeapAlloc{addr, bytes, /*live=*/true});
   return DevAddr{addr};
 }

@@ -8,6 +8,11 @@
 // against them. Allocations are 256-byte aligned by default, matching
 // cudaMalloc's guarantee; alloc_offset() deliberately mis-aligns a block for
 // the MemAlign benchmark.
+//
+// The arena is one anonymous mapping reserved at construction for the whole
+// device capacity. The operating system supplies zeroed pages on first
+// touch, so an allocation costs no zero-fill or copy, untouched capacity
+// costs no host RAM, and the host pointer behind an address never moves.
 
 #include <atomic>
 #include <cstddef>
@@ -61,10 +66,20 @@ enum class AddrClass : std::uint8_t { kValid, kOutOfBounds, kFreed };
 /// Runtime can surface it as a recorded cudaError_t, the way cudaFree does.
 enum class FreeResult : std::uint8_t { kOk, kNotABase, kDoubleFree };
 
-/// Growable arena backing all simulated device allocations.
+/// Bump arena backing all simulated device allocations.
 class DeviceHeap {
  public:
-  DeviceHeap() : mem_(kReserved, std::byte{0}) {}
+  /// Capacity of a heap built without one (tests poking the raw heap).
+  static constexpr std::size_t kDefaultCapacity = std::size_t{16} << 30;
+
+  /// Reserves `capacity` bytes of device memory (cudaMalloc fails beyond
+  /// it); 0 selects kDefaultCapacity. Throws std::bad_alloc when the host
+  /// cannot reserve the address range.
+  explicit DeviceHeap(std::size_t capacity = 0);
+  ~DeviceHeap();
+
+  DeviceHeap(const DeviceHeap&) = delete;
+  DeviceHeap& operator=(const DeviceHeap&) = delete;
 
   /// Allocate `bytes` with the given alignment; returns the byte address,
   /// or null when the allocation would exceed the device capacity (the
@@ -75,15 +90,18 @@ class DeviceHeap {
   /// misalignment experiments. offset must be < align.
   DevAddr alloc_offset(std::size_t bytes, std::size_t offset, std::size_t align = 256);
 
-  /// Device memory size (cudaMalloc failing beyond it). 0 = unlimited.
-  /// Bytes are committed lazily on successful allocation, so a capacity far
-  /// above what a workload touches costs no host RAM.
-  void set_capacity(std::size_t bytes) { capacity_ = bytes; }
   std::size_t capacity() const { return capacity_; }
+
+  /// n * sizeof(T), saturated at SIZE_MAX so that an element count whose
+  /// byte size wraps fails to allocate instead of getting a tiny block.
+  template <typename T>
+  static std::size_t span_bytes(std::size_t n) {
+    return n > SIZE_MAX / sizeof(T) ? SIZE_MAX : n * sizeof(T);
+  }
 
   template <typename T>
   DevSpan<T> alloc_span(std::size_t n, std::size_t align = 256) {
-    return DevSpan<T>{alloc(n * sizeof(T), align).v, n};
+    return DevSpan<T>{alloc(span_bytes<T>(n), align).v, n};
   }
 
   std::size_t bytes_in_use() const { return top_; }
@@ -111,11 +129,11 @@ class DeviceHeap {
   // Functional accessors. All sizes in bytes.
   void read(std::uint64_t addr, void* dst, std::size_t bytes) const {
     check(addr, bytes);
-    std::memcpy(dst, mem_.data() + addr, bytes);
+    std::memcpy(dst, mem_ + addr, bytes);
   }
   void write(std::uint64_t addr, const void* src, std::size_t bytes) {
     check(addr, bytes);
-    std::memcpy(mem_.data() + addr, src, bytes);
+    std::memcpy(mem_ + addr, src, bytes);
   }
 
   template <typename T>
@@ -140,7 +158,7 @@ class DeviceHeap {
     check(addr, sizeof(T));
     if (addr % alignof(T) != 0)
       throw std::runtime_error("atomic on misaligned device address");
-    std::atomic_ref<T> ref(*reinterpret_cast<T*>(mem_.data() + addr));
+    std::atomic_ref<T> ref(*reinterpret_cast<T*>(mem_ + addr));
     return ref.fetch_add(v, std::memory_order_relaxed);
   }
 
@@ -158,14 +176,16 @@ class DeviceHeap {
  private:
   static constexpr std::size_t kReserved = 256;  // Keeps address 0 unused.
 
+  // Written so that no sum can wrap: [addr, addr+bytes) must lie in
+  // [kReserved, top_).
   void check(std::uint64_t addr, std::size_t bytes) const {
-    if (addr < kReserved || addr + bytes > top_)
+    if (addr < kReserved || bytes > top_ || addr > top_ - bytes)
       throw std::out_of_range("device address out of range");
   }
 
-  std::vector<std::byte> mem_;
+  std::size_t capacity_;           // Bytes reserved at mem_.
+  std::byte* mem_;                 // Host view of device address 0.
   std::size_t top_ = kReserved;
-  std::size_t capacity_ = 0;       // 0 = unlimited (tests poking the raw heap).
   std::vector<HeapAlloc> allocs_;  // Sorted by addr (bump allocation order).
 };
 

@@ -25,7 +25,6 @@ Runtime::Runtime(RuntimeOptions opts)
       tl_(profile_), managed_(profile_),
       fault_(FaultInjector::from_spec(opts_.fault_spec)) {
   gpu_.gmem().set_um_hook(&managed_);
-  gpu_.heap().set_capacity(profile_.gmem_bytes);
   streams_.emplace_back(0);  // Default stream.
   if (opts_.prof != ProfMode::kOff) {
     prof_ = std::make_unique<Profiler>(opts_.prof);

@@ -227,7 +227,8 @@ class Runtime {
   template <typename T>
   DevSpan<T> malloc_offset(std::size_t n, std::size_t byte_offset) {
     if (!begin_op()) return {};
-    DevSpan<T> s{gpu_.heap().alloc_offset(n * sizeof(T), byte_offset, 256).v, n};
+    DevSpan<T> s{
+        gpu_.heap().alloc_offset(DeviceHeap::span_bytes<T>(n), byte_offset, 256).v, n};
     if (s.addr == 0) errors_.fail(ErrorCode::kMemoryAllocation);
     return s;
   }

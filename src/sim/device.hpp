@@ -56,8 +56,9 @@ struct DeviceProfile {
   double dram_bw_gbps = 900.0;       ///< Device-memory bandwidth, GB/s.
   /// Device-memory capacity: allocations past it fail with
   /// cudaErrorMemoryAllocation (the real OOM path of the error model).
-  /// Backing bytes are committed lazily, so datasheet-sized capacities are
-  /// free until actually allocated.
+  /// The heap reserves this much address space once and the host backs
+  /// pages on first touch, so datasheet-sized capacities cost no RAM until
+  /// used.
   std::size_t gmem_bytes = 16ull << 30;
 
   // --- Host link ------------------------------------------------------------

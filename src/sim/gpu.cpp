@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <exception>
 #include <iostream>
 #include <queue>
 #include <stdexcept>
@@ -168,6 +169,32 @@ void GpuExec::set_sim_threads(int threads) {
   pool_.reset();  // Rebuilt lazily at the next parallel grid.
 }
 
+WorkerPool& GpuExec::pool() {
+  if (!pool_ || pool_->size() != threads_)
+    pool_ = std::make_unique<WorkerPool>(threads_);
+  return *pool_;
+}
+
+void GpuExec::parallel_for(long long count,
+                           const std::function<void(long long)>& body) {
+  if (threads_ == 1 || count <= 1) {
+    for (long long j = 0; j < count; ++j) body(j);
+    return;
+  }
+  // One slot per index instead of the pool's abort-on-first-error, so the
+  // rethrown exception does not depend on which worker got there first.
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(count));
+  pool().run(count, 1, [&](int, long long j) {
+    try {
+      body(j);
+    } catch (...) {
+      errors[static_cast<std::size_t>(j)] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+}
+
 std::vector<std::vector<double>> GpuExec::run_grids(
     const std::vector<GridRef>& grids, KernelStats& stats,
     std::size_t* shared_bytes_out, CheckReport* check_out) {
@@ -233,12 +260,10 @@ std::vector<std::vector<double>> GpuExec::run_grids(
     // The pool is sized once for the configured thread count and reused;
     // small levels engage fewer workers inside WorkerPool::run, so no
     // rebuild happens when effective_threads dips for a tiny grid.
-    if (!pool_ || pool_->size() != threads_)
-      pool_ = std::make_unique<WorkerPool>(threads_);
     // Chunks keep workers on runs of consecutive blocks (fewer grid
     // switches) while still load-balancing ~8 handouts per worker.
     long long chunk = std::max<long long>(1, total / (8LL * threads));
-    pool_->run(total, chunk, run_job);
+    pool().run(total, chunk, run_job);
   } else {
     for (long long j = 0; j < total; ++j) run_job(0, j);
   }

@@ -19,6 +19,7 @@
 // stream/graph timeline layer schedules.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,6 +94,14 @@ class GpuExec {
   /// 0 = hardware concurrency). 1 disables the worker pool.
   int sim_threads() const { return threads_; }
   void set_sim_threads(int threads);
+
+  /// Run body(j) for every j in [0, count) on the same pool — host work of
+  /// a driver (inputs, references) between launches, not blocks. Runs
+  /// inline when sim_threads is 1 or count <= 1. On the pool every index
+  /// runs once, even after another throws, and the exception of the lowest
+  /// index that threw is rethrown: the one the inline loop raises. Bodies
+  /// must write disjoint outputs and must not call back into this GpuExec.
+  void parallel_for(long long count, const std::function<void(long long)>& body);
 
   // --- Fidelity ---------------------------------------------------------------
   /// Simulation fidelity for subsequent launches (RuntimeOptions::fidelity).
@@ -184,6 +193,8 @@ class GpuExec {
   /// memory is live (page residency is order-dependent state).
   int effective_threads(long long total_blocks) const;
   void ensure_arenas(int count);
+  /// The worker pool, created on first use at the configured thread count.
+  WorkerPool& pool();
 
   const DeviceProfile& profile_;
   GlobalMemory gmem_;

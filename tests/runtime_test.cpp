@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -147,6 +148,25 @@ TEST(Runtime, ProfilePresetsAreDistinct) {
   EXPECT_FALSE(DeviceProfile::v100().supports_memcpy_async);
   EXPECT_GT(DeviceProfile::k80().tex_bw_factor, 1.0);
   EXPECT_EQ(DeviceProfile::rtx3080_scaled().sm_count, 12);
+}
+
+TEST(Runtime, MallocOfWrappingByteSizeFailsAndConsumesNothing) {
+  Runtime rt(DeviceProfile::test_tiny());
+  DevSpan<float> a = rt.malloc<float>(16);
+  ASSERT_NE(a.addr, 0u);
+  const std::size_t in_use = rt.gpu().heap().bytes_in_use();
+  // SIZE_MAX/4 + 2 floats is 4 bytes once the byte count wraps.
+  const std::size_t n = SIZE_MAX / 4 + 2;
+  EXPECT_EQ(rt.malloc<float>(n).addr, 0u);
+  EXPECT_EQ(rt.get_last_error(), ErrorCode::kMemoryAllocation);
+  EXPECT_EQ(rt.malloc_offset<float>(n, 4).addr, 0u);
+  EXPECT_EQ(rt.get_last_error(), ErrorCode::kMemoryAllocation);
+  EXPECT_EQ(rt.malloc_managed<float>(n).addr, 0u);
+  EXPECT_EQ(rt.get_last_error(), ErrorCode::kMemoryAllocation);
+  EXPECT_EQ(rt.gpu().heap().bytes_in_use(), in_use);
+  DevSpan<float> b = rt.malloc<float>(16);
+  EXPECT_EQ(rt.get_last_error(), ErrorCode::kSuccess);
+  EXPECT_EQ(b.addr, a.addr + 256);
 }
 
 }  // namespace
