@@ -46,7 +46,7 @@ struct DevSpan {
   std::uint64_t addr_of(std::size_t i) const { return addr + i * sizeof(T); }
 
   DevSpan subspan(std::size_t offset, std::size_t count) const {
-    if (offset + count > n) throw std::out_of_range("DevSpan::subspan");
+    if (offset > n || count > n - offset) throw std::out_of_range("DevSpan::subspan");
     return DevSpan{addr + offset * sizeof(T), count};
   }
 };

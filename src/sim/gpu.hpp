@@ -78,6 +78,10 @@ class GpuExec {
     set_sim_threads(sim_threads);
   }
 
+  // gmem_ keeps a pointer to profile_, so a copy or move would dangle.
+  GpuExec(const GpuExec&) = delete;
+  GpuExec& operator=(const GpuExec&) = delete;
+
   const DeviceProfile& profile() const { return profile_; }
   GlobalMemory& gmem() { return gmem_; }
   DeviceHeap& heap() { return gmem_.heap(); }
@@ -196,7 +200,7 @@ class GpuExec {
   /// The worker pool, created on first use at the configured thread count.
   WorkerPool& pool();
 
-  const DeviceProfile& profile_;
+  DeviceProfile profile_;  // Owned: callers may pass a temporary.
   GlobalMemory gmem_;
   ConstantRegion constants_;
   std::vector<ChildLaunch> pending_children_;

@@ -8,11 +8,14 @@
 // operators produce a Mask (bit i set = lane i true), which is the currency
 // of predication, divergence handling and warp-vote intrinsics.
 //
-// The storage is a flat SoA-style array and every lane loop is written
-// branch-free (mask bits are folded in arithmetically, comparisons
-// accumulate `bool << i` instead of branching per lane) so the 32-lane
-// inner loops autovectorize under -O2/-O3 — see DESIGN.md section 11 and
-// the VGPU_VEC_REPORT CMake option for the -fopt-info-vec spot check.
+// The storage is a flat SoA-style array. A result that writes every lane
+// (arithmetic, select, map/cast, iota, generate) is built without first
+// zero-filling it, and every lane loop is branch-free: select reads both
+// operands and tests a constant lane-bit table, and a comparison ORs
+// `kLaneBits[i] & (0 - (a op b))`. Written this way the arithmetic,
+// compare and select loops vectorize at the project's -O2 on baseline
+// x86-64 — see DESIGN.md section 11 and the VGPU_VEC_REPORT CMake option
+// for the -fopt-info-vec spot check.
 
 #include <array>
 #include <bit>
@@ -36,18 +39,34 @@ constexpr Mask first_lanes(int n) {
   return n >= kWarpSize ? kFullMask : ((1u << n) - 1u);
 }
 
+/// kLaneBits[i] == lane_bit(i): a constant table the vectorizer can load,
+/// where a variable shift `m >> i` would keep a lane loop scalar.
+inline constexpr auto kLaneBits = [] {
+  std::array<Mask, kWarpSize> bits{};
+  for (int i = 0; i < kWarpSize; ++i) bits[static_cast<std::size_t>(i)] = lane_bit(i);
+  return bits;
+}();
+
 template <typename T>
 class LaneVec {
  public:
-  LaneVec() = default;
+  /// Every lane 0: WarpCtx loads leave their inactive lanes at this value.
+  LaneVec() : v_{} {}
   /// Broadcast: every lane holds `splat`.
   explicit LaneVec(T splat) { v_.fill(splat); }
 
+  /// Lane i holds f(i). The only construction that skips the zero-fill,
+  /// which is safe because the loop writes every lane.
+  template <typename F>
+  static LaneVec generate(F&& f) {
+    LaneVec r{NoFill{}};
+    for (int i = 0; i < kWarpSize; ++i) r.v_[i] = f(i);
+    return r;
+  }
+
   /// Lane i holds start + i * step.
   static LaneVec iota(T start = T{0}, T step = T{1}) {
-    LaneVec r;
-    for (int i = 0; i < kWarpSize; ++i) r.v_[i] = static_cast<T>(start + step * static_cast<T>(i));
-    return r;
+    return generate([=](int i) { return static_cast<T>(start + step * static_cast<T>(i)); });
   }
 
   T& operator[](int lane) { return v_[static_cast<std::size_t>(lane)]; }
@@ -60,9 +79,7 @@ class LaneVec {
   /// Elementwise transform.
   template <typename F>
   auto map(F&& f) const -> LaneVec<std::invoke_result_t<F, T>> {
-    LaneVec<std::invoke_result_t<F, T>> r;
-    for (int i = 0; i < kWarpSize; ++i) r[i] = f(v_[static_cast<std::size_t>(i)]);
-    return r;
+    return LaneVec<std::invoke_result_t<F, T>>::generate([&](int i) { return f(v_[i]); });
   }
 
   template <typename U>
@@ -70,21 +87,15 @@ class LaneVec {
     return map([](T x) { return static_cast<U>(x); });
   }
 
-#define VGPU_LANEVEC_BINOP(op)                                          \
-  friend LaneVec operator op(const LaneVec& a, const LaneVec& b) {      \
-    LaneVec r;                                                          \
-    for (int i = 0; i < kWarpSize; ++i) r.v_[i] = a.v_[i] op b.v_[i];   \
-    return r;                                                           \
-  }                                                                     \
-  friend LaneVec operator op(const LaneVec& a, T b) {                   \
-    LaneVec r;                                                          \
-    for (int i = 0; i < kWarpSize; ++i) r.v_[i] = a.v_[i] op b;         \
-    return r;                                                           \
-  }                                                                     \
-  friend LaneVec operator op(T a, const LaneVec& b) {                   \
-    LaneVec r;                                                          \
-    for (int i = 0; i < kWarpSize; ++i) r.v_[i] = a op b.v_[i];         \
-    return r;                                                           \
+#define VGPU_LANEVEC_BINOP(op)                                                  \
+  friend LaneVec operator op(const LaneVec& a, const LaneVec& b) {              \
+    return generate([&](int i) { return static_cast<T>(a.v_[i] op b.v_[i]); }); \
+  }                                                                             \
+  friend LaneVec operator op(const LaneVec& a, T b) {                           \
+    return generate([&](int i) { return static_cast<T>(a.v_[i] op b); });       \
+  }                                                                             \
+  friend LaneVec operator op(T a, const LaneVec& b) {                           \
+    return generate([&](int i) { return static_cast<T>(a op b.v_[i]); });       \
   }
 
   VGPU_LANEVEC_BINOP(+)
@@ -94,30 +105,28 @@ class LaneVec {
 #undef VGPU_LANEVEC_BINOP
 
   friend LaneVec operator%(const LaneVec& a, T b) requires std::is_integral_v<T> {
-    LaneVec r;
-    for (int i = 0; i < kWarpSize; ++i) r[i] = a[i] % b;
-    return r;
+    return generate([&](int i) { return static_cast<T>(a.v_[i] % b); });
   }
 
   LaneVec& operator+=(const LaneVec& o) { return *this = *this + o; }
   LaneVec& operator-=(const LaneVec& o) { return *this = *this - o; }
   LaneVec& operator*=(const LaneVec& o) { return *this = *this * o; }
 
-  // Branch-free: accumulate `bool << lane` so the compiler sees a pure
-  // data-parallel reduction (vectorizable compare + movemask) instead of 32
-  // unpredictable branches.
-#define VGPU_LANEVEC_CMP(op)                                        \
-  friend Mask operator op(const LaneVec& a, const LaneVec& b) {     \
-    Mask m = 0;                                                     \
-    for (int i = 0; i < kWarpSize; ++i)                             \
-      m |= static_cast<Mask>(a.v_[i] op b.v_[i]) << i;              \
-    return m;                                                       \
-  }                                                                 \
-  friend Mask operator op(const LaneVec& a, T b) {                  \
-    Mask m = 0;                                                     \
-    for (int i = 0; i < kWarpSize; ++i)                             \
-      m |= static_cast<Mask>(a.v_[i] op b) << i;                    \
-    return m;                                                       \
+  // Branch-free OR-reduction: `0 - bool` is all-ones or zero, so lane i
+  // contributes kLaneBits[i] or nothing. (A `bool << i` fold does not
+  // vectorize: the shift count varies per lane.)
+#define VGPU_LANEVEC_CMP(op)                                               \
+  friend Mask operator op(const LaneVec& a, const LaneVec& b) {            \
+    Mask m = 0;                                                            \
+    for (int i = 0; i < kWarpSize; ++i)                                    \
+      m |= kLaneBits[i] & (0u - static_cast<Mask>(a.v_[i] op b.v_[i]));    \
+    return m;                                                              \
+  }                                                                        \
+  friend Mask operator op(const LaneVec& a, T b) {                         \
+    Mask m = 0;                                                            \
+    for (int i = 0; i < kWarpSize; ++i)                                    \
+      m |= kLaneBits[i] & (0u - static_cast<Mask>(a.v_[i] op b));          \
+    return m;                                                              \
   }
 
   VGPU_LANEVEC_CMP(<)
@@ -128,17 +137,21 @@ class LaneVec {
   VGPU_LANEVEC_CMP(!=)
 #undef VGPU_LANEVEC_CMP
 
-  /// Lane-conditional select: lane i gets (m bit i ? a[i] : b[i]).
-  /// Written on the mask bit directly so it lowers to cmov/blend.
+  /// Lane-conditional select: lane i gets (m bit i ? a[i] : b[i]). Both
+  /// lanes are read unconditionally so the loop lowers to a blend.
   friend LaneVec select(Mask m, const LaneVec& a, const LaneVec& b) {
-    LaneVec r;
-    for (int i = 0; i < kWarpSize; ++i)
-      r.v_[i] = ((m >> i) & 1u) != 0 ? a.v_[i] : b.v_[i];
-    return r;
+    return generate([&](int i) {
+      const T x = a.v_[i];
+      const T y = b.v_[i];
+      return (m & kLaneBits[i]) != 0 ? x : y;
+    });
   }
 
  private:
-  std::array<T, kWarpSize> v_{};
+  struct NoFill {};
+  explicit LaneVec(NoFill) {}
+
+  std::array<T, kWarpSize> v_;
 };
 
 using LaneF = LaneVec<float>;

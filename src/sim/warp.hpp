@@ -224,14 +224,7 @@ class WarpCtx {
   // --- Constant / texture ---------------------------------------------------------
   template <typename T>
   LaneVec<T> cload(const ConstSpan<T>& a, const LaneI& idx) {
-    LaneVec<std::uint64_t> addrs;
-    const Mask cm = active();
-    for (int l = 0; l < kWarpSize; ++l) {
-      auto on = static_cast<std::uint64_t>((cm >> l) & 1u);
-      addrs[l] = a.addr + on * (static_cast<std::uint64_t>(
-                                    static_cast<std::size_t>(idx[l])) *
-                                sizeof(T));
-    }
+    LaneVec<std::uint64_t> addrs = lane_addrs<T>(a.addr, idx);
     const_cost(addrs, sizeof(T));
     Mask ok = vet_global_lanes(addrs, sizeof(T), /*write=*/false, MemSpace::kConstant);
     LaneVec<T> out;
@@ -267,16 +260,12 @@ class WarpCtx {
   template <typename T>
   LaneVec<T> shfl_xor(const LaneVec<T>& v, int lane_mask) {
     charge_shuffle();
-    LaneVec<T> r;
-    for (int l = 0; l < kWarpSize; ++l) r[l] = v[l ^ lane_mask];
-    return r;
+    return LaneVec<T>::generate([&](int l) { return v[l ^ lane_mask]; });
   }
   template <typename T>
   LaneVec<T> shfl_idx(const LaneVec<T>& v, const LaneI& src) {
     charge_shuffle();
-    LaneVec<T> r;
-    for (int l = 0; l < kWarpSize; ++l) r[l] = v[src[l] & (kWarpSize - 1)];
-    return r;
+    return LaneVec<T>::generate([&](int l) { return v[src[l] & (kWarpSize - 1)]; });
   }
 
   Mask ballot(Mask pred) {
@@ -335,45 +324,36 @@ class WarpCtx {
  private:
   friend struct BarrierAwaiter;
 
-  // Address generation is branch-free: inactive lanes multiply their offset
-  // by 0, which reproduces the old `lane_in ? addr_of(idx) : base` values
-  // bit for bit (addr_of(i) == base + i*sizeof(T)) while letting the 32-lane
-  // loop autovectorize.
+  // Address generation is branch-free: an active lane gets addr_of(idx) ==
+  // base + idx*sizeof(T), an inactive one masks its offset to 0 and gets
+  // base. The loop stays scalar on baseline x86-64 (no 64-bit vector
+  // multiply); generate() only spares it the zero-fill.
+  template <typename T>
+  LaneVec<std::uint64_t> lane_addrs(std::uint64_t base, const LaneI& idx) const {
+    const Mask m = active();
+    return LaneVec<std::uint64_t>::generate([&](int l) {
+      const std::uint64_t on = 0 - static_cast<std::uint64_t>((m & kLaneBits[l]) != 0);
+      return base + (on & static_cast<std::uint64_t>(static_cast<std::size_t>(idx[l])) *
+                              sizeof(T));
+    });
+  }
   template <typename T>
   LaneVec<std::uint64_t> element_addrs(const DevSpan<T>& a, const LaneI& idx) const {
-    LaneVec<std::uint64_t> addrs;
-    const Mask m = active();
-    for (int l = 0; l < kWarpSize; ++l) {
-      auto on = static_cast<std::uint64_t>((m >> l) & 1u);
-      addrs[l] = a.addr + on * (static_cast<std::uint64_t>(
-                                    static_cast<std::size_t>(idx[l])) *
-                                sizeof(T));
-    }
-    return addrs;
+    return lane_addrs<T>(a.addr, idx);
   }
   template <typename T>
   LaneVec<std::uint64_t> shared_addrs(const SharedArray<T>& a, const LaneI& idx) const {
-    LaneVec<std::uint64_t> addrs;
-    const Mask m = active();
-    for (int l = 0; l < kWarpSize; ++l) {
-      auto on = static_cast<std::uint64_t>((m >> l) & 1u);
-      addrs[l] = a.offset + on * (static_cast<std::uint64_t>(
-                                      static_cast<std::size_t>(idx[l])) *
-                                  sizeof(T));
-    }
-    return addrs;
+    return lane_addrs<T>(a.offset, idx);
   }
 
   template <typename T>
   LaneVec<T> tex_fetch(const Texture<T>& t, const LaneI& x, const LaneI& y) {
-    LaneVec<std::uint64_t> keys;
-    LaneVec<std::uint64_t> addrs;
-    for (int l = 0; l < kWarpSize; ++l) {
-      int cx = t.clamp_x(x[l]);
-      int cy = t.clamp_y(y[l]);
-      keys[l] = lane_in(active(), l) ? t.cache_key(cx, cy) : t.cache_key(0, 0);
-      addrs[l] = t.addr_of(cx, cy);
-    }
+    const Mask m = active();
+    LaneVec<std::uint64_t> keys = LaneVec<std::uint64_t>::generate([&](int l) {
+      return lane_in(m, l) ? t.cache_key(t.clamp_x(x[l]), t.clamp_y(y[l])) : t.cache_key(0, 0);
+    });
+    LaneVec<std::uint64_t> addrs = LaneVec<std::uint64_t>::generate(
+        [&](int l) { return t.addr_of(t.clamp_x(x[l]), t.clamp_y(y[l])); });
     tex_cost(keys, sizeof(T));
     Mask ok = vet_global_lanes(addrs, sizeof(T), /*write=*/false, MemSpace::kTexture);
     LaneVec<T> out;

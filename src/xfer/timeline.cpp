@@ -9,11 +9,11 @@ namespace vgpu {
 
 Timeline::Span Timeline::copy(Stream& s, double bytes, bool sync, bool charge_submit,
                               double bw_scale, double& engine_free) {
-  if (charge_submit) host_advance(profile_->stream_op_us);
+  if (charge_submit) host_advance(profile_.stream_op_us);
   double ready = std::max(clock_->now, s.last_end());
   double start = std::max(ready, engine_free);
-  double end = start + profile_->pcie_latency_us +
-               bytes / (profile_->pcie_bw_gbps * bw_scale * 1e3);
+  double end = start + profile_.pcie_latency_us +
+               bytes / (profile_.pcie_bw_gbps * bw_scale * 1e3);
   engine_free = end;
   s.set_last_end(end);
   note(end);
@@ -40,7 +40,7 @@ Timeline::Span Timeline::kernel(Stream& s, const KernelRun& run,
   host_advance(launch_overhead_us);
   double ready = std::max(clock_->now, s.last_end());
 
-  int want = std::clamp(run.preferred_sms, 1, profile_->sm_count);
+  int want = std::clamp(run.preferred_sms, 1, profile_.sm_count);
   // Take the `want` earliest-available SM slots.
   std::vector<std::size_t> order(sm_free_.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -48,7 +48,7 @@ Timeline::Span Timeline::kernel(Stream& s, const KernelRun& run,
             [&](std::size_t a, std::size_t b) { return sm_free_[a] < sm_free_[b]; });
   double slots_ready = sm_free_[order[static_cast<std::size_t>(want - 1)]];
   double start = std::max(ready, slots_ready);
-  double end = start + run.duration_us(*profile_, want);
+  double end = start + run.duration_us(profile_, want);
   for (int i = 0; i < want; ++i) sm_free_[order[static_cast<std::size_t>(i)]] = end;
 
   s.set_last_end(end);
@@ -70,14 +70,14 @@ Timeline::Span Timeline::kernel(Stream& s, const KernelRun& run,
     r.granted_sms = want;
     // nvprof achieved_occupancy: resident warps per SM over the hardware max.
     int warps_per_block = (run.threads_per_block + 31) / 32;
-    int max_warps = profile_->max_threads_per_sm / 32;
+    int max_warps = profile_.max_threads_per_sm / 32;
     r.achieved_occupancy =
         max_warps > 0
             ? std::min(1.0, static_cast<double>(run.blocks_per_sm) *
                                 warps_per_block / max_warps)
             : 0.0;
     r.launch_overhead_us = launch_overhead_us;
-    r.sm_slack = run.sm_slack(*profile_, want);
+    r.sm_slack = run.sm_slack(profile_, want);
     r.shared_bytes = run.shared_bytes;
     r.coalesce_hits = run.coalesce_hits;
     r.coalesce_misses = run.coalesce_misses;
@@ -88,7 +88,7 @@ Timeline::Span Timeline::kernel(Stream& s, const KernelRun& run,
 }
 
 Timeline::Span Timeline::memset(Stream& s, double bytes, double duration_us) {
-  host_advance(profile_->stream_op_us);
+  host_advance(profile_.stream_op_us);
   double start = std::max(clock_->now, s.last_end());
   double end = start + duration_us;
   s.set_last_end(end);
@@ -99,7 +99,7 @@ Timeline::Span Timeline::memset(Stream& s, double bytes, double duration_us) {
 }
 
 Timeline::Span Timeline::host_op(Stream& s, double duration_us, bool charge_submit) {
-  if (charge_submit) host_advance(profile_->stream_op_us);
+  if (charge_submit) host_advance(profile_.stream_op_us);
   double start = std::max(clock_->now, s.last_end());
   double end = start + duration_us;
   s.set_last_end(end);
@@ -110,7 +110,7 @@ Timeline::Span Timeline::host_op(Stream& s, double duration_us, bool charge_subm
 }
 
 void Timeline::record_event(Stream& s, Event& e) {
-  host_advance(profile_->stream_op_us * 0.25);
+  host_advance(profile_.stream_op_us * 0.25);
   e.time = s.last_end();
   e.recorded = true;
   prof_activity(ActivityRecord::Kind::kEventRecord, "event", s,

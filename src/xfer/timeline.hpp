@@ -40,7 +40,7 @@ class Timeline {
   };
 
   explicit Timeline(const DeviceProfile& profile)
-      : profile_(&profile),
+      : profile_(profile),
         sm_free_(static_cast<std::size_t>(profile.sm_count), 0.0) {}
 
   // clock_ may point at own_clock_; a byte-wise copy would alias the source.
@@ -126,7 +126,7 @@ class Timeline {
   Span copy(Stream& s, double bytes, bool sync, bool charge_submit,
             double bw_scale, double& engine_free);
 
-  const DeviceProfile* profile_;
+  DeviceProfile profile_;  // Owned: callers may pass a temporary.
   HostClock own_clock_;
   HostClock* clock_ = &own_clock_;
   double h2d_free_ = 0;

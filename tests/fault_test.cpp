@@ -25,10 +25,11 @@ using vgpu::Stream;
 using vgpu::WarpCtx;
 using vgpu::WarpTask;
 
-// A trivially-correct kernel: every thread stores 1 into its own slot.
+// A trivially-correct kernel: every thread of the grid stores 1 into its own
+// slot (indexed by global id, so blocks never write the same word).
 vgpu::KernelFn fill_ones(DevSpan<int> d) {
   return [=](WarpCtx& w) -> WarpTask {
-    w.store(d, w.thread_linear(), LaneVec<int>(1));
+    w.store(d, w.global_tid_x(), LaneVec<int>(1));
     co_return;
   };
 }

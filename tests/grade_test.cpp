@@ -22,30 +22,24 @@ using namespace vgpu::grade;
 
 bool g_update = false;
 
-const TaskRegistry& tasks() {
-  static TaskRegistry* reg = [] {
-    auto* t = new TaskRegistry;
-    auto* p = new PluginRegistry;
-    cumb::gradetasks::register_all(*t, *p);
-    return t;
-  }();
-  return *reg;
+/// The shipped suite's tasks and plugins, registered once and owned here.
+struct Suite {
+  TaskRegistry tasks;
+  PluginRegistry plugins;
+  Suite() { cumb::gradetasks::register_all(tasks, plugins); }
+};
+
+const Suite& suite() {
+  static const Suite s;
+  return s;
 }
 
-const PluginRegistry& plugins() {
-  static PluginRegistry* reg = [] {
-    auto* t = new TaskRegistry;
-    auto* p = new PluginRegistry;
-    cumb::gradetasks::register_all(*t, *p);
-    return p;
-  }();
-  return *reg;
-}
+const TaskRegistry& tasks() { return suite().tasks; }
+const PluginRegistry& plugins() { return suite().plugins; }
 
 const std::map<std::string, PerfBaseline>& baselines() {
-  static auto* b = new std::map<std::string, PerfBaseline>(
-      load_baselines(GRADE_BASELINES_PATH));
-  return *b;
+  static const std::map<std::string, PerfBaseline> b = load_baselines(GRADE_BASELINES_PATH);
+  return b;
 }
 
 /// Exact-fidelity options with the committed baselines — the configuration

@@ -88,6 +88,16 @@ TEST(DevSpan, SubspanAddressing) {
   EXPECT_THROW(s.subspan(90, 20), std::out_of_range);
 }
 
+TEST(DevSpan, SubspanRangeCheckDoesNotWrap) {
+  const DevSpan<int> s{256, 4};
+  // offset + count wraps to 1 here; the check must still see offset > n.
+  EXPECT_THROW(s.subspan(SIZE_MAX, 2), std::out_of_range);
+  EXPECT_THROW(s.subspan(2, SIZE_MAX), std::out_of_range);
+  EXPECT_THROW(s.subspan(5, 0), std::out_of_range);
+  EXPECT_EQ(s.subspan(4, 0).n, 0u);
+  EXPECT_EQ(s.subspan(1, 3).addr, 256u + sizeof(int));
+}
+
 TEST(Heap, GrowsBeyondInitialReservation) {
   DeviceHeap h;
   DevSpan<char> s = h.alloc_span<char>(1 << 22);  // 4 MiB.

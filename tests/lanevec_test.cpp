@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "sim/lanevec.hpp"
 
 namespace {
@@ -148,5 +154,118 @@ TEST_P(LaneVecProperty, SelectPartition) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Steps, LaneVecProperty, ::testing::Values(1, 2, 3, 5, 7, 16));
+
+// Compares and select against a per-lane scalar reference, per element type.
+// The lane values mix edge cases (NaN, -0.0, infinities, extreme integers)
+// with seeded random draws, so equal, ordered and unordered pairs all occur.
+template <typename T>
+std::vector<T> edge_values() {
+  using L = std::numeric_limits<T>;
+  if constexpr (std::is_floating_point_v<T>) {
+    return {T(0), -T(0), T(1), T(-1), L::quiet_NaN(), -L::quiet_NaN(), L::infinity(),
+            -L::infinity(), L::max(), L::lowest(), L::denorm_min(), T(0.5)};
+  } else {
+    return {T(0), T(1), T(2), L::max(), L::min(), static_cast<T>(L::max() - 1),
+            static_cast<T>(L::min() + 1), static_cast<T>(-1)};
+  }
+}
+
+template <typename T>
+LaneVec<T> random_lanes(std::mt19937_64& rng) {
+  const std::vector<T> edges = edge_values<T>();
+  LaneVec<T> v;
+  for (int i = 0; i < kWarpSize; ++i) {
+    std::uint64_t r = rng();
+    if (r % 2 == 0) {
+      v[i] = edges[(r >> 8) % edges.size()];
+    } else if constexpr (std::is_floating_point_v<T>) {
+      v[i] = static_cast<T>(static_cast<int>((r >> 8) % 9) - 4) * T(0.5);
+    } else {
+      v[i] = static_cast<T>((r >> 8) % 5);
+    }
+  }
+  return v;
+}
+
+/// Bitwise lane equality, so NaN payloads and the sign of zero count.
+template <typename T>
+bool same_bits(T a, T b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+template <typename T>
+class LaneVecTyped : public ::testing::Test {};
+using LaneTypes = ::testing::Types<float, double, int, std::uint64_t>;
+TYPED_TEST_SUITE(LaneVecTyped, LaneTypes);
+
+template <typename T, typename Op>
+Mask scalar_mask(const LaneVec<T>& a, const LaneVec<T>& b, Op op) {
+  Mask m = 0;
+  for (int i = 0; i < kWarpSize; ++i)
+    if (op(a[i], b[i])) m |= lane_bit(i);
+  return m;
+}
+
+TYPED_TEST(LaneVecTyped, ComparesMatchScalarReference) {
+  using T = TypeParam;
+  std::mt19937_64 rng(0x5eed);
+  for (int round = 0; round < 64; ++round) {
+    const LaneVec<T> a = random_lanes<T>(rng);
+    // Every third round compares a with itself, so equal lanes (and NaN
+    // against NaN) appear in bulk.
+    const LaneVec<T> b = round % 3 == 0 ? a : random_lanes<T>(rng);
+    const T s = b[round % kWarpSize];
+    const LaneVec<T> splat(s);
+    EXPECT_EQ(a < b, scalar_mask(a, b, [](T x, T y) { return x < y; }));
+    EXPECT_EQ(a <= b, scalar_mask(a, b, [](T x, T y) { return x <= y; }));
+    EXPECT_EQ(a > b, scalar_mask(a, b, [](T x, T y) { return x > y; }));
+    EXPECT_EQ(a >= b, scalar_mask(a, b, [](T x, T y) { return x >= y; }));
+    EXPECT_EQ(a == b, scalar_mask(a, b, [](T x, T y) { return x == y; }));
+    EXPECT_EQ(a != b, scalar_mask(a, b, [](T x, T y) { return x != y; }));
+    EXPECT_EQ(a < s, scalar_mask(a, splat, [](T x, T y) { return x < y; }));
+    EXPECT_EQ(a <= s, scalar_mask(a, splat, [](T x, T y) { return x <= y; }));
+    EXPECT_EQ(a > s, scalar_mask(a, splat, [](T x, T y) { return x > y; }));
+    EXPECT_EQ(a >= s, scalar_mask(a, splat, [](T x, T y) { return x >= y; }));
+    EXPECT_EQ(a == s, scalar_mask(a, splat, [](T x, T y) { return x == y; }));
+    EXPECT_EQ(a != s, scalar_mask(a, splat, [](T x, T y) { return x != y; }));
+  }
+}
+
+TYPED_TEST(LaneVecTyped, NaNAndSignedZeroCompareLikeScalars) {
+  using T = TypeParam;
+  if constexpr (std::is_floating_point_v<T>) {
+    LaneVec<T> a(std::numeric_limits<T>::quiet_NaN());
+    a[1] = -T(0);
+    LaneVec<T> b(T(0));
+    const Mask rest = kFullMask & ~lane_bit(1);
+    EXPECT_EQ(a == b, lane_bit(1));  // -0.0 == 0.0; NaN equals nothing.
+    EXPECT_EQ(a != b, rest);
+    EXPECT_EQ(a < b, 0u);
+    EXPECT_EQ(a <= b, lane_bit(1));
+    EXPECT_EQ(a > b, 0u);
+    EXPECT_EQ(a >= b, lane_bit(1));
+    EXPECT_EQ(a == a, lane_bit(1));
+    EXPECT_EQ(a != a, rest);
+  }
+}
+
+TYPED_TEST(LaneVecTyped, SelectMatchesScalarReference) {
+  using T = TypeParam;
+  std::mt19937_64 rng(0xbead);
+  std::vector<Mask> masks = {0u, kFullMask};
+  for (int i = 0; i < kWarpSize; ++i) {
+    masks.push_back(lane_bit(i));
+    masks.push_back(kFullMask ^ lane_bit(i));
+  }
+  for (int i = 0; i < 32; ++i) masks.push_back(static_cast<Mask>(rng()));
+  for (Mask m : masks) {
+    const LaneVec<T> a = random_lanes<T>(rng);
+    const LaneVec<T> b = random_lanes<T>(rng);
+    const LaneVec<T> r = select(m, a, b);
+    for (int i = 0; i < kWarpSize; ++i)
+      EXPECT_TRUE(same_bits(r[i], lane_in(m, i) ? a[i] : b[i]))
+          << "mask " << m << " lane " << i;
+  }
+}
 
 }  // namespace
