@@ -106,7 +106,6 @@ class Advisor {
 
   /// Where flush() writes the JSON report; empty disables the file write.
   void set_json_path(std::string path) { json_path_ = std::move(path); }
-  const std::string& json_path() const { return json_path_; }
 
   /// Start a new evidence phase. Rules never correlate records across a
   /// phase boundary, so callers can bracket e.g. one benchmark variant.

@@ -66,8 +66,16 @@ Verdict run_grade(const TaskRegistry& tasks, const PluginRegistry& plugins,
   Verdict v;
   v.task = task_id;
   v.submission = submission;
-  Fidelity fid = opts.fidelity ? *opts.fidelity : RuntimeOptions::from_env().fidelity;
-  v.fidelity = fidelity_name(fid);
+  // One options value for the graded Runtime: the ambient defaults, this
+  // grade's overrides, and the observer modes every verdict needs.
+  RuntimeOptions o = ambient_options();
+  if (opts.threads > 0) o.sim_threads = opts.threads;
+  if (opts.fidelity) o.fidelity = *opts.fidelity;
+  if (!opts.fault_spec.empty()) o.fault_spec = opts.fault_spec;
+  o.check = CheckMode::kFull;
+  o.prof = ProfMode::kMetrics;
+  o.advise = AdviseMode::kFull;
+  v.fidelity = fidelity_name(o.fidelity);
 
   const TaskSpec* spec = tasks.find(task_id);
   if (!spec)
@@ -95,14 +103,9 @@ Verdict run_grade(const TaskRegistry& tasks, const PluginRegistry& plugins,
   if (!guarded([&] { ref = spec->reference(data); }, &msg))
     return error_verdict(std::move(v), "reference", "", msg);
 
-  Runtime rt(spec->profile());
+  o.profile = spec->profile();
+  Runtime rt(o);
   ObserverGuard guard{rt};
-  if (opts.threads > 0) rt.set_sim_threads(opts.threads);
-  rt.set_fidelity(fid);
-  if (!opts.fault_spec.empty()) rt.set_fault_spec(opts.fault_spec);
-  rt.set_check_mode(CheckMode::kFull);
-  rt.set_prof_mode(ProfMode::kMetrics);
-  rt.set_advise_mode(AdviseMode::kFull);
 
   std::unique_ptr<KernelPlugin> plugin;
   if (!guarded([&] { plugin = entry->make(); }, &msg) || !plugin)

@@ -27,7 +27,8 @@ namespace vgpu::grade {
 struct GradeOptions {
   /// Simulator worker threads; 0 keeps the Runtime default (VGPU_THREADS).
   int threads = 0;
-  /// Fidelity override; unset falls back to VGPU_FIDELITY / exact.
+  /// Fidelity override; unset keeps the ambient options' (VGPU_FIDELITY, else
+  /// exact).
   std::optional<Fidelity> fidelity;
   /// vgpu-fault injection spec applied to the run ("" = none).
   std::string fault_spec;

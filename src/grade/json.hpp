@@ -2,7 +2,7 @@
 
 // Deterministic JSON emission: the library's one JSON writer. Grade
 // verdicts, serve reports, the vgpu-prof and vgpu-multi chrome traces, the
-// vgpu-advise report and the selfperf bench file are all written with it.
+// vgpu-advise report and the perfbench traces are all written with it.
 // It lives in the base vgpu library; the grade/ path is historical.
 //
 // A verdict must be byte-identical across VGPU_THREADS and across releases

@@ -18,6 +18,7 @@
 // 1 graded-fail on a single run, 2 error verdict / bad usage / check
 // violation.
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -65,6 +66,16 @@ bool take(std::string_view arg, std::string_view flag, std::string* value) {
   return true;
 }
 
+/// Parse all of `text` as a base-10 int in [lo, hi]; false on anything else.
+bool parse_int(std::string_view text, int lo, int hi, int* out) {
+  int v = 0;
+  auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc{} || end != text.data() + text.size() || v < lo || v > hi)
+    return false;
+  *out = v;
+  return true;
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --list | --task=ID --submission=NAME [--out=PATH]\n"
@@ -92,14 +103,24 @@ bool parse_cli(int argc, char** argv, Cli* cli) {
     else if (take(arg, "--baselines", &cli->baselines_path)) {}
     else if (take(arg, "--fault", &cli->fault)) {}
     else if (take(arg, "--fidelity", &cli->fidelity)) {}
-    else if (take(arg, "--threads", &value)) cli->threads = std::stoi(value);
-    else if (take(arg, "--check-threads", &value)) {
-      std::size_t pos = 0;
-      while (pos < value.size()) {
-        std::size_t comma = value.find(',', pos);
-        if (comma == std::string::npos) comma = value.size();
-        cli->check_threads.push_back(std::stoi(value.substr(pos, comma - pos)));
-        pos = comma + 1;
+    else if (take(arg, "--threads", &value)) {
+      if (!parse_int(value, 0, 256, &cli->threads)) {
+        std::fprintf(stderr, "bad --threads (want 0..256): %s\n", argv[i]);
+        return false;
+      }
+    } else if (take(arg, "--check-threads", &value)) {
+      std::string_view rest = value;
+      while (true) {
+        std::size_t comma = rest.find(',');
+        int n = 0;
+        if (!parse_int(rest.substr(0, comma), 1, 256, &n)) {
+          std::fprintf(stderr, "bad --check-threads (want N,N,... in 1..256): %s\n",
+                       argv[i]);
+          return false;
+        }
+        cli->check_threads.push_back(n);
+        if (comma == std::string_view::npos) break;
+        rest = rest.substr(comma + 1);
       }
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);

@@ -122,20 +122,6 @@ ProfMode parse_prof_mode(std::string_view s) {
   return m;
 }
 
-const char* activity_kind_name(ActivityRecord::Kind k) {
-  switch (k) {
-    case ActivityRecord::Kind::kKernel: return "kernel";
-    case ActivityRecord::Kind::kMemcpyH2D: return "memcpy h2d";
-    case ActivityRecord::Kind::kMemcpyD2H: return "memcpy d2h";
-    case ActivityRecord::Kind::kMemset: return "memset";
-    case ActivityRecord::Kind::kUmMigration: return "um migration";
-    case ActivityRecord::Kind::kHostFunc: return "host func";
-    case ActivityRecord::Kind::kEventRecord: return "event record";
-    case ActivityRecord::Kind::kMemcpyP2P: return "memcpy p2p";
-  }
-  return "unknown";
-}
-
 std::vector<Metric> derived_metrics(const ActivityRecord& k) {
   const KernelStats& s = k.stats;
   std::vector<Metric> m;

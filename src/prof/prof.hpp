@@ -109,8 +109,6 @@ struct ActivityRecord {
   static constexpr int kHostStream = -1;
 };
 
-const char* activity_kind_name(ActivityRecord::Kind k);
-
 /// One derived metric under its nvprof name.
 struct Metric {
   std::string name;

@@ -90,31 +90,6 @@ std::string check_mode_name(CheckMode m) {
   return out;
 }
 
-std::string prof_mode_name(ProfMode m) {
-  if (m == ProfMode::kOff) return "off";
-  if (prof_has(m, ProfMode::kSummary) && prof_has(m, ProfMode::kTrace) &&
-      prof_has(m, ProfMode::kMetrics))
-    return "full";
-  std::string out;
-  auto append = [&out](const char* tok) {
-    if (!out.empty()) out += ',';
-    out += tok;
-  };
-  if (prof_has(m, ProfMode::kSummary)) append("summary");
-  if (prof_has(m, ProfMode::kTrace)) append("trace");
-  if (prof_has(m, ProfMode::kMetrics)) append("metrics");
-  return out;
-}
-
-const char* advise_mode_name(AdviseMode m) {
-  switch (m) {
-    case AdviseMode::kOff: return "off";
-    case AdviseMode::kWarn: return "warn";
-    case AdviseMode::kFull: return "full";
-  }
-  return "?";
-}
-
 std::string RuntimeOptions::canonical() const {
   // Every architectural constant of the profile participates: a profile
   // tweaked in place (tests shrink sm_count, benches scale clocks) must not

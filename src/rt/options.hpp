@@ -100,10 +100,6 @@ struct RuntimeOptions {
 /// Render a CheckMode as the comma-joined VGPU_CHECK spelling parse_check_mode
 /// accepts ("off", "memcheck,racecheck", "full,escalate", ...).
 std::string check_mode_name(CheckMode m);
-/// Render a ProfMode as the VGPU_PROF spelling ("off", "summary,metrics", ...).
-std::string prof_mode_name(ProfMode m);
-/// Render an AdviseMode as the VGPU_ADVISE spelling ("off", "warn", "full").
-const char* advise_mode_name(AdviseMode m);
 
 /// Install / clear the process-wide ambient override consumed by the legacy
 /// Runtime(DeviceProfile) constructor. Thread-safe; the profile field of the

@@ -23,15 +23,17 @@
 // deterministic: same seed, same queue, same report bytes.
 //
 // Exit status: 0 when every job completed ok AND every repeat was served
-// from the cache; 1 otherwise.
+// from the cache; 1 otherwise; 2 on a bad flag.
 
 #ifndef GRADE_BASELINES_PATH
 #define GRADE_BASELINES_PATH ""
 #endif
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -59,19 +61,35 @@ struct Cli {
   std::map<std::string, JobServer::TenantQuota> quotas;
 };
 
+/// Parse all of `text` as a base-10 integer in [lo, hi]; false on anything
+/// else (empty, trailing characters, sign where T is unsigned, overflow).
+template <typename T>
+bool parse_whole(const char* text, T lo, T hi, T* out) {
+  const char* last = text + std::strlen(text);
+  T v{};
+  auto [end, ec] = std::from_chars(text, last, v);
+  if (ec != std::errc{} || end != last || v < lo || v > hi) return false;
+  *out = v;
+  return true;
+}
+
 bool parse_cli(int argc, char** argv, Cli* cli) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    bool ok = true;
     if (std::strncmp(a, "--jobs=", 7) == 0) {
-      cli->jobs = std::atoi(a + 7);
+      ok = parse_whole(a + 7, 1, kIntMax, &cli->jobs);
     } else if (std::strncmp(a, "--workers=", 10) == 0) {
-      cli->workers = std::atoi(a + 10);
+      ok = parse_whole(a + 10, 1, 64, &cli->workers);
     } else if (std::strncmp(a, "--cache=", 8) == 0) {
-      cli->cache = static_cast<std::size_t>(std::atoll(a + 8));
+      ok = parse_whole(a + 8, std::size_t{0},
+                       std::numeric_limits<std::size_t>::max(), &cli->cache);
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      cli->seed = static_cast<std::uint64_t>(std::atoll(a + 7));
+      ok = parse_whole(a + 7, std::uint64_t{0},
+                       std::numeric_limits<std::uint64_t>::max(), &cli->seed);
     } else if (std::strncmp(a, "--repeat-percent=", 17) == 0) {
-      cli->repeat_percent = std::atoi(a + 17);
+      ok = parse_whole(a + 17, 0, 100, &cli->repeat_percent);
     } else if (std::strncmp(a, "--report=", 9) == 0) {
       cli->report_path = a + 9;
     } else if (std::strcmp(a, "--list") == 0) {
@@ -83,20 +101,28 @@ bool parse_cli(int argc, char** argv, Cli* cli) {
     } else if (std::strncmp(a, "--cache-dir=", 12) == 0) {
       cli->cache_dir = a + 12;
     } else if (std::strncmp(a, "--devices=", 10) == 0) {
-      cli->devices = std::atoi(a + 10);
+      ok = parse_whole(a + 10, 0, 64, &cli->devices);
     } else if (std::strncmp(a, "--quota=", 8) == 0) {
       const char* eq = std::strchr(a + 8, '=');
-      if (eq == nullptr || eq == a + 8 || std::atoi(eq + 1) < 1) {
-        std::fprintf(stderr, "bad --quota (want TENANT=N): %s\n", a);
+      int n = 0;
+      if (eq == nullptr || eq == a + 8 || !parse_whole(eq + 1, 1, kIntMax, &n)) {
+        std::fprintf(stderr, "bad --quota (want TENANT=N, N >= 1): %s\n", a);
         return false;
       }
-      cli->quotas[std::string(a + 8, eq)].max_in_flight = std::atoi(eq + 1);
+      cli->quotas[std::string(a + 8, eq)].max_in_flight = n;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a);
       return false;
     }
+    if (!ok) {
+      std::fprintf(stderr,
+                   "bad value: %s (--jobs >= 1, --workers 1..64, "
+                   "--repeat-percent 0..100, --devices 0..64)\n",
+                   a);
+      return false;
+    }
   }
-  return cli->jobs > 0;
+  return true;
 }
 
 /// Deterministic 64-bit LCG (MMIX constants); no std::random_device, no

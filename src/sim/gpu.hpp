@@ -115,15 +115,14 @@ class GpuExec {
   void set_fidelity(Fidelity f) { fidelity_ = f; }
 
   // --- Self-performance introspection ----------------------------------------
-  /// Host wall-clock spent in the two phases of run_grids since the last
-  /// clear: executing blocks (pool fan-out included) and merging per-worker
-  /// results. For the selfperf bench's phase attribution.
+  /// Host wall-clock spent in the two phases of run_grids since
+  /// construction: executing blocks (pool fan-out included) and merging
+  /// per-worker results. perfbench attributes engine time with it.
   struct SimPhaseTimes {
     double execute_ms = 0;
     double merge_ms = 0;
   };
   SimPhaseTimes phase_times() const { return {execute_ms_, merge_ms_}; }
-  void clear_phase_times() { execute_ms_ = merge_ms_ = 0; }
   /// Lifetime coalesce-memo counters (every launch since construction).
   std::uint64_t coalesce_cache_hits() const { return co_hits_total_; }
   std::uint64_t coalesce_cache_misses() const { return co_misses_total_; }

@@ -105,9 +105,6 @@ class Timeline {
   void stream_synchronize(Stream& s);
   void device_synchronize();
 
-  /// Latest completion time seen anywhere (device frontier).
-  double device_frontier() const { return frontier_; }
-
   /// Attach the vgpu-prof activity sink (nullptr to detach). Every device
   /// op the timeline schedules is recorded there in submission order.
   void set_profiler(Profiler* prof) { prof_ = prof; }
