@@ -74,15 +74,10 @@ CoMemResult run_comem(Runtime& rt, int n, int grid_blocks) {
   if (n % (grid_blocks * kTpb) != 0)
     throw std::invalid_argument("run_comem: n must be a multiple of grid*block");
 
-  // Three independently seeded inputs, generated concurrently on the
-  // simulation pool; each equals its serial call.
-  std::vector<Real> hx, hy0;
+  // The permutation, the slowest draw, runs beside the two vectors.
   std::vector<int> perm;
-  rt.gpu().parallel_for(3, [&](long long j) {
-    if (j == 0) hx = random_vector(static_cast<std::size_t>(n), 21);
-    if (j == 1) hy0 = random_vector(static_cast<std::size_t>(n), 22);
-    if (j == 2) perm = random_permutation(n, 23);
-  });
+  auto [hx, hy0] = random_vectors(rt, static_cast<std::size_t>(n), {21, 22},
+                                  [&] { perm = random_permutation(n, 23); });
 
   DevSpan<Real> x = rt.malloc<Real>(static_cast<std::size_t>(n));
   DevSpan<Real> y = rt.malloc<Real>(static_cast<std::size_t>(n));

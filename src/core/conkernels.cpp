@@ -32,9 +32,12 @@ ConKernelsResult run_conkernels(Runtime& rt, int kernels, int iters) {
   res.kernels = kernels;
 
   auto h0 = random_vector(kTpb, 81);
+  // Iterations outermost: each value still sees the kernel's exact sequence
+  // of operations, and the 256 independent chains run side by side.
   std::vector<Real> want = h0;
-  for (Real& v : want)
-    for (int k = 0; k < iters; ++k) v = ((v * kMul + kAdd) * kMul + kAdd) * kMul + kAdd;
+  for (int k = 0; k < iters; ++k)
+    for (std::size_t i = 0; i < kTpb; ++i)
+      want[i] = ((want[i] * kMul + kAdd) * kMul + kAdd) * kMul + kAdd;
 
   std::vector<DevSpan<Real>> bufs;
   for (int i = 0; i < kernels; ++i) {

@@ -1,5 +1,7 @@
 #include "core/dynparallel.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 
 #include "linalg/generate.hpp"
@@ -39,20 +41,40 @@ void pixel_coords(const MandelFrame& f, const LaneI& px, const LaneI& py,
   cy = py.cast<float>() * f.scale + f.y0;
 }
 
-/// Dwells of pixel row `py` into `row` (width entries).
+/// `a` where `m` is all ones, `b` where it is zero. Bitwise, so both values
+/// are always computed and the lane loop below stays branch-free.
+inline float pick(std::int32_t m, float a, float b) {
+  return std::bit_cast<float>((std::bit_cast<std::int32_t>(a) & m) |
+                              (std::bit_cast<std::int32_t>(b) & ~m));
+}
+
+/// Dwells of pixel row `py` into `row` (width entries), 32 pixels at a
+/// time. Each lane runs its pixel's escape loop in the scalar float
+/// expression order and freezes when it escapes; lanes past `width` start
+/// dead. The batch ends when no lane is live.
 void mandel_ref_row(int* row, int py, int width, MandelFrame f, int max_iter) {
-  for (int px = 0; px < width; ++px) {
-    float cx = static_cast<float>(px) * f.scale + f.x0;
-    float cy = static_cast<float>(py) * f.scale + f.y0;
-    float zx = 0, zy = 0;
-    int it = 0;
-    while (zx * zx + zy * zy < 4.0f && it < max_iter) {
-      float t = zx * zx - zy * zy + cx;
-      zy = 2.0f * (zx * zy) + cy;
-      zx = t;
-      ++it;
+  constexpr int kLanes = 32;
+  const float cy = static_cast<float>(py) * f.scale + f.y0;
+  for (int base = 0; base < width; base += kLanes) {
+    float cx[kLanes] = {}, zx[kLanes] = {}, zy[kLanes] = {};
+    std::int32_t it[kLanes] = {}, live[kLanes] = {};  // live: all ones or zero.
+    for (int l = 0; l < kLanes; ++l) {
+      cx[l] = static_cast<float>(base + l) * f.scale + f.x0;
+      live[l] = -static_cast<std::int32_t>(base + l < width);
     }
-    row[px] = it;
+    for (std::int32_t any = -1; any != 0;) {
+      any = 0;
+      for (int l = 0; l < kLanes; ++l) {
+        const float x = zx[l], y = zy[l];
+        std::int32_t go = live[l] & -((x * x + y * y < 4.0f) & (it[l] < max_iter));
+        zx[l] = pick(go, x * x - y * y + cx[l], x);
+        zy[l] = pick(go, 2.0f * (x * y) + cy, y);
+        it[l] -= go;
+        live[l] = go;
+        any |= go;
+      }
+    }
+    for (int l = 0; l < kLanes && base + l < width; ++l) row[base + l] = it[l];
   }
 }
 

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "linalg/generate.hpp"
-
 namespace cumb {
 
 namespace {
@@ -54,8 +52,7 @@ WarpTask axpy_staged_async(WarpCtx& w, DevSpan<Real> x, DevSpan<Real> y, int n, 
 GsOverlapResult run_gsoverlap(Runtime& rt, int n) {
   if (n % kTpb != 0) throw std::invalid_argument("run_gsoverlap: n % 256 != 0");
   const Real a = Real{2.0};
-  auto hx = random_vector(static_cast<std::size_t>(n), 71);
-  auto hy0 = random_vector(static_cast<std::size_t>(n), 72);
+  auto [hx, hy0] = random_vectors(rt, static_cast<std::size_t>(n), {71, 72});
 
   DevSpan<Real> x = rt.malloc<Real>(static_cast<std::size_t>(n));
   DevSpan<Real> y = rt.malloc<Real>(static_cast<std::size_t>(n));

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/comem.hpp"
-#include "linalg/generate.hpp"
 
 namespace cumb {
 
@@ -15,8 +14,7 @@ HdOverlapResult run_hdoverlap(Runtime& rt, int n, int chunks, int streams) {
     throw std::invalid_argument("run_hdoverlap: n must be a multiple of chunks*256");
   int chunk_n = n / chunks;
 
-  auto hx = random_vector(static_cast<std::size_t>(n), 101);
-  auto hy0 = random_vector(static_cast<std::size_t>(n), 102);
+  auto [hx, hy0] = random_vectors(rt, static_cast<std::size_t>(n), {101, 102});
   std::vector<Real> want = hy0;
   axpy_ref(hx, want, a);
 

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "linalg/generate.hpp"
-
 namespace cumb {
 
 WarpTask axpy_aligned(WarpCtx& w, DevSpan<Real> x, DevSpan<Real> y, int n, Real a) {
@@ -31,8 +29,7 @@ WarpTask axpy_misaligned(WarpCtx& w, DevSpan<Real> x, DevSpan<Real> y, int n, Re
 MemAlignResult run_memalign(Runtime& rt, int n) {
   constexpr int kTpb = 256;
   const Real a = Real{1.5};
-  auto hx = random_vector(static_cast<std::size_t>(n), 31);
-  auto hy0 = random_vector(static_cast<std::size_t>(n), 32);
+  auto [hx, hy0] = random_vectors(rt, static_cast<std::size_t>(n), {31, 32});
 
   DevSpan<Real> x = rt.malloc<Real>(static_cast<std::size_t>(n));
   DevSpan<Real> y = rt.malloc<Real>(static_cast<std::size_t>(n));

@@ -95,8 +95,7 @@ WarpTask poly_global_kernel(WarpCtx& w, DevSpan<Real> coeffs, int terms,
 ReadOnlyResult run_readonly(Runtime& rt, int n) {
   if (n % 16 != 0) throw std::invalid_argument("run_readonly: n % 16 != 0");
   std::size_t nn = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  auto ha = random_vector(nn, 111);
-  auto hb = random_vector(nn, 112);
+  auto [ha, hb] = random_vectors(rt, nn, {111, 112});
   std::vector<Real> want = matadd_ref(ha, hb);
 
   DevSpan<Real> a = rt.malloc<Real>(nn);

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "linalg/generate.hpp"
-
 namespace cumb {
 
 WarpTask axpy_strided_kernel(WarpCtx& w, DevSpan<Real> x, DevSpan<Real> y, int m,
@@ -28,13 +26,7 @@ UniMemResult run_unimem(Runtime& rt, int n, int stride) {
     throw std::invalid_argument("run_unimem: stride must divide n");
   int m = n / stride;
 
-  // Two independently seeded inputs, generated concurrently on the
-  // simulation pool; each equals its serial call.
-  std::vector<Real> hx, hy0;
-  rt.gpu().parallel_for(2, [&](long long j) {
-    if (j == 0) hx = random_vector(static_cast<std::size_t>(n), 121);
-    if (j == 1) hy0 = random_vector(static_cast<std::size_t>(n), 122);
-  });
+  auto [hx, hy0] = random_vectors(rt, static_cast<std::size_t>(n), {121, 122});
   std::vector<Real> want = hy0;
   for (int i = 0; i < m; ++i)
     want[static_cast<std::size_t>(i) * stride] += a * hx[static_cast<std::size_t>(i) * stride];

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "linalg/generate.hpp"
-
 namespace cumb {
 
 namespace {
@@ -62,8 +60,7 @@ void nowd_ref(std::span<const Real> x, std::span<const Real> y, std::span<Real> 
 
 WarpDivResult run_warpdiv(Runtime& rt, int n) {
   constexpr int kTpb = 256;
-  auto hx = random_vector(static_cast<std::size_t>(n), 11);
-  auto hy = random_vector(static_cast<std::size_t>(n), 12);
+  auto [hx, hy] = random_vectors(rt, static_cast<std::size_t>(n), {11, 12});
 
   DevSpan<Real> x = rt.malloc<Real>(static_cast<std::size_t>(n));
   DevSpan<Real> y = rt.malloc<Real>(static_cast<std::size_t>(n));

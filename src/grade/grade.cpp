@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -103,8 +104,15 @@ Verdict run_grade(const TaskRegistry& tasks, const PluginRegistry& plugins,
   if (!guarded([&] { ref = spec->reference(data); }, &msg))
     return error_verdict(std::move(v), "reference", "", msg);
 
-  o.profile = spec->profile();
-  Runtime rt(o);
+  // A malformed option (a bad fault spec, say) is an error verdict, not an
+  // exception out of run_grade.
+  std::optional<Runtime> rt_slot;
+  if (!guarded([&] {
+        o.profile = spec->profile();
+        rt_slot.emplace(o);
+      }, &msg))
+    return error_verdict(std::move(v), "spec", "", msg);
+  Runtime& rt = *rt_slot;
   ObserverGuard guard{rt};
 
   std::unique_ptr<KernelPlugin> plugin;

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/inject.hpp"
 #include "grade/grade.hpp"
 
 #ifndef GRADE_BASELINES_PATH
@@ -172,6 +173,12 @@ int main(int argc, char** argv) {
 
   GradeOptions opts;
   opts.threads = cli.threads;
+  try {
+    FaultInjector::parse(cli.fault);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   opts.fault_spec = cli.fault;
   opts.skip_perf = cli.no_perf;
   if (!cli.fidelity.empty()) {

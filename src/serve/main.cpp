@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "fault/inject.hpp"
 #include "serve/server.hpp"
 #include "tasks/suite.hpp"
 
@@ -186,6 +187,7 @@ int main(int argc, char** argv) {
   JobServer::Config cfg{.workers = cli.workers, .cache_capacity = cli.cache};
   try {
     cfg.retry = vgpu::serve::RetryPolicy::parse(cli.retry);
+    vgpu::FaultInjector::parse(cli.fault);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;

@@ -189,6 +189,16 @@ TEST(GradeErrors, InjectedOomInSetupIsStructuredSetupError) {
   EXPECT_FALSE(v.pass);
 }
 
+TEST(GradeErrors, MalformedFaultSpecIsStructuredSpecError) {
+  GradeOptions opts = exact_opts();
+  opts.fault_spec = "garbage";
+  Verdict v = run_grade(tasks(), plugins(), "comem", "comem.naive", opts);
+  EXPECT_EQ(v.status, "error");
+  EXPECT_EQ(v.error_stage, "spec");
+  EXPECT_NE(v.error_message.find("VGPU_FAULT"), std::string::npos) << v.error_message;
+  EXPECT_FALSE(v.pass);
+}
+
 // --- Baselines file I/O ------------------------------------------------------
 
 TEST(GradeBaselines, RoundTripPreservesEveryField) {

@@ -1,8 +1,8 @@
 // Host work on the simulation pool (GpuExec::parallel_for): the index
 // contract (each index once, lowest-index exception, inline at one thread),
 // and the drivers that use it — their PairResults must be bit-identical at
-// 1 and 4 sim threads, and the pooled Mandelbrot reference must equal the
-// serial one.
+// 1 and 4 sim threads, the pooled Mandelbrot reference must equal the
+// serial one, and random_vectors must equal its serial draws.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,10 @@
 #include <vector>
 
 #include "core/comem.hpp"
+#include "core/common.hpp"
 #include "core/dynparallel.hpp"
 #include "core/unimem.hpp"
+#include "linalg/generate.hpp"
 #include <vgpu.hpp>
 
 namespace {
@@ -84,6 +86,20 @@ TEST(HostParallelFor, PooledMandelRefMatchesSerial) {
   EXPECT_EQ(cumb::mandel_ref(rt, 256, 256, f, 256), cumb::mandel_ref(256, 256, f, 256));
   // Non-square, so a row/column mix-up cannot hide.
   EXPECT_EQ(cumb::mandel_ref(rt, 200, 131, f, 64), cumb::mandel_ref(200, 131, f, 64));
+}
+
+TEST(HostParallelFor, RandomVectorsEqualTheirSerialDraws) {
+  for (int threads : {1, 4}) {
+    RuntimeOptions o = RuntimeOptions::defaults();
+    o.sim_threads = threads;
+    Runtime rt(o);
+    std::vector<int> perm;
+    auto [x, y] = cumb::random_vectors(rt, 1000, {5, 6},
+                                       [&] { perm = cumb::random_permutation(100, 7); });
+    EXPECT_EQ(x, cumb::random_vector(1000, 5)) << "threads " << threads;
+    EXPECT_EQ(y, cumb::random_vector(1000, 6)) << "threads " << threads;
+    EXPECT_EQ(perm, cumb::random_permutation(100, 7)) << "threads " << threads;
+  }
 }
 
 void expect_same_pair(const cumb::PairResult& a, const cumb::PairResult& b) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "core/comem.hpp"
@@ -240,6 +241,46 @@ TEST(MandelKernel, EscapeMatchesHostReference) {
   std::vector<int> got(static_cast<std::size_t>(size) * size);
   rt.memcpy_d2h(std::span<int>(got), dwell);
   EXPECT_EQ(got, mandel_ref(size, size, f, max_iter));
+}
+
+/// The per-pixel escape loop the batched host reference must reproduce.
+std::vector<int> scalar_mandel(int width, int height, MandelFrame f, int max_iter) {
+  std::vector<int> out;
+  for (int py = 0; py < height; ++py) {
+    for (int px = 0; px < width; ++px) {
+      float cx = static_cast<float>(px) * f.scale + f.x0;
+      float cy = static_cast<float>(py) * f.scale + f.y0;
+      float zx = 0, zy = 0;
+      int it = 0;
+      while (zx * zx + zy * zy < 4.0f && it < max_iter) {
+        float t = zx * zx - zy * zy + cx;
+        zy = 2.0f * (zx * zy) + cy;
+        zx = t;
+        ++it;
+      }
+      out.push_back(it);
+    }
+  }
+  return out;
+}
+
+TEST(MandelRef, BatchedEqualsScalarEscapeLoop) {
+  // Widths that leave a partial 32-pixel batch at the end of every row.
+  for (auto [width, height] : {std::pair{200, 131}, std::pair{33, 7}}) {
+    MandelFrame f;
+    f.scale = 3.0f / static_cast<float>(width);
+    EXPECT_EQ(mandel_ref(width, height, f, 256), scalar_mandel(width, height, f, 256))
+        << width << "x" << height;
+  }
+  // A crop on the set's boundary, where neighbouring lanes escape at very
+  // different iterations, down to a batch of one iteration.
+  MandelFrame crop;
+  crop.x0 = -0.77f;
+  crop.y0 = 0.08f;
+  crop.scale = 0.0005f;
+  for (int max_iter : {1, 64, 1024})
+    EXPECT_EQ(mandel_ref(100, 45, crop, max_iter), scalar_mandel(100, 45, crop, max_iter))
+        << "max_iter " << max_iter;
 }
 
 TEST(MandelKernel, MarianiSilverEqualsEscapeExactly) {
